@@ -10,9 +10,8 @@
 //! read throughput *under write pressure*. Since PR 8 readers run on the
 //! epoch snapshot path and never touch the shard locks, so sharding's read
 //! lever is parallel fan-out of counts/ranked reads plus smaller per-shard
-//! epoch republication; the old writer-priority stall regime is preserved
-//! for A/B measurement behind `WorkloadSpec::locked_reads` (see the
-//! `snapshot_reads` bin and BENCH_PR8.md).
+//! epoch republication (BENCH_PR8.md records the A/B against the old
+//! writer-priority stall regime).
 //!
 //! Two architectures bracket the write-pressure spectrum: naive-mm eager
 //! relabels its whole shard every round (the paper's state-of-the-art
@@ -66,7 +65,6 @@ fn run_table(spec: &DatasetSpec, arch: Architecture, rounds: usize, warm: &[Trai
             reorganize_every: 0,
             // no floor: the window is exactly the writer-active period
             duration_floor: Duration::ZERO,
-            locked_reads: false,
         };
         let report = run_mixed_workload(&mut view, &wl);
         if n_shards == SHARD_COUNTS[0] {

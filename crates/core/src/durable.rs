@@ -177,30 +177,37 @@ impl ViewRestorer for CoreRestorer {
     }
 }
 
-/// Applies one logged redo record to a view — the replay path shared by
-/// crash recovery and log-shipping replication (`hazy-repl` feeds shipped
-/// WAL frames through this to keep replicas marching in lock-step with the
-/// primary). Output of read operations is discarded: their *side effects*
-/// (lazy maintenance, watermark folding) are the point.
-///
-/// Returns `None` on an unknown record kind or an undecodable payload.
-pub fn replay_record(
-    view: &mut (dyn DurableClassifierView + Send),
-    kind: u8,
-    payload: &[u8],
-) -> Option<()> {
-    apply_record(view, kind, payload)
+/// What a replayed record did to the view's answers — what a
+/// [`PublishedView`](crate::PublishedView) folds into its epoch stream
+/// after the engine has applied the record.
+pub(crate) enum Replayed {
+    /// A model round.
+    Update,
+    /// This entity arrived.
+    Insert(Entity),
+    /// This id was retracted (or was already absent).
+    Remove(u64),
+    /// The view reclustered.
+    Reorganize,
+    /// A logged read or a migration: no answer moved.
+    Unchanged,
 }
 
-/// Applies one logged operation to a view (the replay path; output of read
-/// operations is discarded — their *side effects* are the point).
-fn apply_record(
+/// Applies one logged redo record to a view — the replay path shared by
+/// crash recovery and log-shipping replication (`hazy-repl` feeds shipped
+/// WAL frames through [`PublishedView::replay_record`](crate::PublishedView)
+/// to keep replicas marching in lock-step with the primary). Output of read
+/// operations is discarded: their *side effects* (lazy maintenance,
+/// watermark folding) are the point.
+///
+/// Returns `None` on an unknown record kind or an undecodable payload.
+pub(crate) fn apply_record(
     view: &mut (dyn DurableClassifierView + Send),
     kind: u8,
     payload: &[u8],
-) -> Option<()> {
+) -> Option<Replayed> {
     let mut b = payload;
-    match kind {
+    Some(match kind {
         rec::UPDATE => {
             let n = wire::take_u32(&mut b)? as usize;
             let mut batch = Vec::with_capacity(n);
@@ -208,23 +215,37 @@ fn apply_record(
                 batch.push(take_example(&mut b)?);
             }
             view.update_batch(&batch);
+            Replayed::Update
         }
-        rec::INSERT => view.insert_entity(take_entity(&mut b)?),
+        rec::INSERT => {
+            let e = take_entity(&mut b)?;
+            view.insert_entity(e.clone());
+            Replayed::Insert(e)
+        }
         rec::REMOVE => {
-            let _ = view.remove_entity(wire::take_u64(&mut b)?);
+            let id = wire::take_u64(&mut b)?;
+            let _ = view.remove_entity(id);
+            Replayed::Remove(id)
         }
-        rec::REORG => view.reorganize(),
+        rec::REORG => {
+            view.reorganize();
+            Replayed::Reorganize
+        }
         rec::READ => {
             let _ = view.read_single(wire::take_u64(&mut b)?);
+            Replayed::Unchanged
         }
         rec::COUNT => {
             let _ = view.count_positive();
+            Replayed::Unchanged
         }
         rec::MEMBERS => {
             let _ = view.positive_ids();
+            Replayed::Unchanged
         }
         rec::TOPK => {
             let _ = view.top_k(wire::take_u64(&mut b)? as usize);
+            Replayed::Unchanged
         }
         rec::MIGRATE => {
             let arch = crate::view::Architecture::from_tag(wire::take_u8(&mut b)?)?;
@@ -233,10 +254,10 @@ fn apply_record(
             // against a non-adaptive view is a (deterministic) no-op, the
             // same answer the record's original execution got
             let _ = view.set_architecture(arch, mode);
+            Replayed::Unchanged
         }
         _ => return None,
-    }
-    Some(())
+    })
 }
 
 /// What [`DurableView::recover_with_info`] learned while recovering: how

@@ -34,22 +34,29 @@
 //!   retired node only after observing `entering == 0` *and then*
 //!   `pins == 0` — at which point no present or future reader can hold it.
 //!
+//! * [`PublishedView`] — an engine and its publisher as one value: the
+//!   only way product code publishes. Its write verbs apply an operation
+//!   to the engine and fold the same operation into the epoch stream, so
+//!   the serving shards, the SQL catalog and the replicas all get "engine
+//!   and epochs in lockstep, one LSN tick per operation" by construction.
+//!
 //! Readers never take a lock shared with the writer; writers keep
 //! synchronizing with each other (and with control-plane fan-outs) on the
 //! shard mutexes, which is why the serving layer's locks shrink to
 //! writer–writer only.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hazy_learn::{Label, LinearModel};
+use hazy_learn::{Label, LinearModel, TrainingExample};
 use hazy_linalg::NormPair;
 
+use crate::durable::{apply_record, DurableClassifierView, DurableView, Replayed};
 use crate::entity::Entity;
-use crate::view::{rank_order, ClassifierView};
+use crate::view::{rank_order, Architecture, ClassifierView, Mode};
 use crate::watermark::{WaterMarks, WatermarkPolicy};
 
 /// Global epoch-lifecycle metrics: every [`EpochCell`] in the process
@@ -486,9 +493,10 @@ const REBASE_FLOOR: usize = 64;
 /// [`ModelEpoch`] into its [`EpochCell`] after each operation.
 ///
 /// Exactly one publisher exists per cell; it is driven by whoever already
-/// holds the single-writer role (the serving layer's broadcast walk, a
-/// test harness's writer actor), so its methods take `&mut self` and need
-/// no internal synchronization beyond the cell's publication protocol.
+/// holds the single-writer role (a [`PublishedView`]'s write verbs in
+/// product code, a test harness's writer actor), so its methods take
+/// `&mut self` and need no internal synchronization beyond the cell's
+/// publication protocol.
 pub struct EpochPublisher {
     cell: Arc<EpochCell>,
     base: Arc<EpochBase>,
@@ -541,20 +549,6 @@ impl EpochPublisher {
             lsn: start_lsn,
             rebases: 0,
         }
-    }
-
-    /// Builds a publisher whose initial epoch reproduces `view`'s current
-    /// answers, via the view's architecture-specific snapshot path
-    /// ([`ClassifierView::snapshot_state`] — a disk view pays a sequential
-    /// scan, charged to its clock). `None` when the view has no snapshot
-    /// path (e.g. an already-sharded wrapper, which snapshots per shard).
-    pub fn from_view(
-        view: &mut (dyn ClassifierView + '_),
-        pair: NormPair,
-        start_lsn: u64,
-    ) -> Option<EpochPublisher> {
-        let (entities, model) = view.snapshot_state()?;
-        Some(EpochPublisher::new(entities, model, pair, start_lsn))
     }
 
     /// The shared publication cell readers pin.
@@ -727,6 +721,164 @@ impl EpochPublisher {
             removed: self.removed.clone(),
             positive: self.positive,
         });
+    }
+}
+
+/// An engine paired with its [`EpochPublisher`]: the one place that knows
+/// when and how an engine write becomes a readable epoch.
+///
+/// Built once from the engine's [`ClassifierView::snapshot_state`]; from
+/// then on every write verb forwards to the engine and folds the same
+/// operation into the publisher, so the engine and the epoch stream are in
+/// lockstep by construction — the LSN readers see ticks exactly once per
+/// engine operation. There is deliberately no `engine_mut`: the only
+/// `&mut` routes to the engine are the verbs below and the read forwards,
+/// which may drive lazy maintenance but cannot move an answer.
+///
+/// `E` is any owning pointer to an engine (a boxed
+/// [`DurableClassifierView`], a `Box<DurableView>`). Callers that share
+/// the pair put it behind their writer lock and hand the
+/// [`cell`](Self::cell) to readers.
+pub struct PublishedView<E> {
+    engine: E,
+    publisher: EpochPublisher,
+}
+
+impl<E> PublishedView<E>
+where
+    E: DerefMut,
+    E::Target: ClassifierView,
+{
+    /// Publishes `engine`'s current answer state as epoch `start_lsn`.
+    /// `pair` must be the view's real Hölder pair — it sizes the
+    /// watermark band every later [`update`](Self::update) re-scores.
+    ///
+    /// # Panics
+    /// Panics when the engine has no snapshot path (every architecture
+    /// and every wrapper in the workspace has one).
+    pub fn new(mut engine: E, pair: NormPair, start_lsn: u64) -> PublishedView<E> {
+        let (entities, model) =
+            engine.snapshot_state().expect("engine has no snapshot path for epoch publication");
+        PublishedView { engine, publisher: EpochPublisher::new(entities, model, pair, start_lsn) }
+    }
+
+    /// The publication cell readers pin (clone it to outlive the borrow).
+    pub fn cell(&self) -> &Arc<EpochCell> {
+        &self.publisher.cell
+    }
+
+    /// Shared access to the engine: statistics, model, clock, checkpoint
+    /// serialization — nothing that can move an answer.
+    pub fn engine(&self) -> &E::Target {
+        &self.engine
+    }
+
+    /// Unwraps the engine; the epoch stream ends here (pins already taken
+    /// stay valid through their own `Arc` of the cell).
+    pub fn into_engine(self) -> E {
+        self.engine
+    }
+
+    /// [`ClassifierView::update`], published.
+    pub fn update(&mut self, ex: &TrainingExample) {
+        self.update_batch(std::slice::from_ref(ex));
+    }
+
+    /// [`ClassifierView::update_batch`], published as one epoch for the
+    /// statement. An empty batch is not an operation.
+    pub fn update_batch(&mut self, batch: &[TrainingExample]) {
+        if batch.is_empty() {
+            return;
+        }
+        self.engine.update_batch(batch);
+        self.publisher.apply_update(self.engine.model());
+    }
+
+    /// [`ClassifierView::insert_entity`], published.
+    pub fn insert_entity(&mut self, e: Entity) {
+        self.engine.insert_entity(e.clone());
+        self.publisher.apply_insert(e);
+    }
+
+    /// [`ClassifierView::remove_entity`], published (a miss still ticks —
+    /// the logical operation happened).
+    pub fn remove_entity(&mut self, id: u64) -> bool {
+        let hit = self.engine.remove_entity(id);
+        self.publisher.apply_remove(id);
+        hit
+    }
+
+    /// [`ClassifierView::reorganize`]; the epoch base rebases with it.
+    pub fn reorganize(&mut self) {
+        self.engine.reorganize();
+        self.publisher.apply_reorganize();
+    }
+
+    /// [`ClassifierView::set_architecture`]. A migration preserves every
+    /// answer bit for bit, so an accepted one only ticks the LSN; a
+    /// rejected one is not an operation.
+    pub fn set_architecture(&mut self, arch: Architecture, mode: Mode) -> bool {
+        let ok = self.engine.set_architecture(arch, mode);
+        if ok {
+            self.publisher.apply_noop();
+        }
+        ok
+    }
+
+    /// Engine-direct [`ClassifierView::read_single`] (may drive lazy
+    /// maintenance; never ticks — a read cannot move an answer).
+    pub fn read_single(&mut self, id: u64) -> Option<Label> {
+        self.engine.read_single(id)
+    }
+
+    /// Engine-direct [`ClassifierView::count_positive`].
+    pub fn count_positive(&mut self) -> u64 {
+        self.engine.count_positive()
+    }
+
+    /// Engine-direct [`ClassifierView::positive_ids`].
+    pub fn positive_ids(&mut self) -> Vec<u64> {
+        self.engine.positive_ids()
+    }
+
+    /// Engine-direct [`ClassifierView::top_k`].
+    pub fn top_k(&mut self, k: usize) -> Vec<(u64, f64)> {
+        self.engine.top_k(k)
+    }
+
+    /// Engine-direct [`ClassifierView::snapshot_state`] — for wrappers
+    /// whose own `snapshot_state` concatenates their parts'.
+    pub fn snapshot_state(&mut self) -> Option<(Vec<Entity>, LinearModel)> {
+        self.engine.snapshot_state()
+    }
+}
+
+impl PublishedView<Box<dyn DurableClassifierView + Send>> {
+    /// Applies one logged redo record — the replay path crash recovery
+    /// uses, here fed with shipped WAL frames — and advances the epoch
+    /// stream by exactly one LSN, whatever the record was: write records
+    /// fold into the overlay; logged reads and migrations run against the
+    /// engine for their maintenance side effects and tick as no-ops.
+    /// `None` on an undecodable record (nothing is published).
+    pub fn replay_record(&mut self, kind: u8, payload: &[u8]) -> Option<()> {
+        match apply_record(self.engine.as_mut(), kind, payload)? {
+            Replayed::Update => self.publisher.apply_update(self.engine.model()),
+            Replayed::Insert(e) => self.publisher.apply_insert(e),
+            Replayed::Remove(id) => {
+                self.publisher.apply_remove(id);
+            }
+            Replayed::Reorganize => self.publisher.apply_reorganize(),
+            Replayed::Unchanged => self.publisher.apply_noop(),
+        }
+        Some(())
+    }
+}
+
+impl PublishedView<Box<DurableView>> {
+    /// [`DurableView::checkpoint`] — needs `&mut` on the wrapper but
+    /// serializes the engine only, so no epoch is published.
+    pub fn checkpoint(&mut self) {
+        self.engine.checkpoint();
     }
 }
 

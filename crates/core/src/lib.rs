@@ -49,14 +49,14 @@ mod watermark;
 
 pub use cost::{classify_cost, OpOverheads};
 pub use durable::{
-    replay_record, CoreRestorer, Durable, DurableClassifierView, DurableView, RecoveryInfo,
-    ViewRestorer, SHARDED_VIEW_TAG,
+    CoreRestorer, Durable, DurableClassifierView, DurableView, RecoveryInfo, ViewRestorer,
+    SHARDED_VIEW_TAG,
 };
 pub use entity::{
     decode_tuple, decode_tuple_header, decode_tuple_ref, encode_tuple, Entity, HTuple, HTupleRef,
     TUPLE_HEADER, TUPLE_LABEL_OFFSET,
 };
-pub use epoch::{EpochCell, EpochPin, EpochPublisher, EpochStats, ModelEpoch};
+pub use epoch::{EpochCell, EpochPin, EpochPublisher, EpochStats, ModelEpoch, PublishedView};
 pub use merge::merge_sorted_tail;
 pub use migrate::{MigrationCarry, MigrationState};
 pub use hazy_disk::HazyDiskView;

@@ -271,7 +271,7 @@ pub trait ClassifierView {
 
     /// Extracts a point-in-time copy of the view's **answer state** — the
     /// entity population and the current model — for publishing an epoch
-    /// snapshot (see [`EpochPublisher::from_view`](crate::EpochPublisher)).
+    /// snapshot (see [`PublishedView::new`](crate::PublishedView::new)).
     /// Every read a view serves is a pure function of exactly this pair
     /// (the observational-equivalence property the cross-architecture
     /// suites enforce), so an epoch built from it answers bit-identically

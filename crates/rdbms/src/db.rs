@@ -10,11 +10,10 @@
 //! joins and filters (`CREATE CLASSIFICATION VIEW v ON (SELECT ...)`).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use hazy_core::{
-    Architecture, DurableClassifierView, DurableView, Entity, EpochCell, EpochPublisher,
-    MemoryFootprint, Mode, ViewBuilder, ViewStats,
+    Architecture, ClassifierView, DurableClassifierView, DurableView, Entity, EpochCell,
+    MemoryFootprint, Mode, PublishedView, ViewBuilder, ViewStats,
 };
 use hazy_flow::{Dataflow, Delta, NodeId, RowAction, ViewSink};
 use hazy_learn::{LinearModel, LossKind, SgdConfig, TrainingExample};
@@ -58,30 +57,100 @@ pub enum QueryResult {
 
 /// A view's engine: plain, wrapped in WAL + checkpoint durability, or
 /// durable with log-shipping read replicas attached.
+///
+/// The two local variants hold their engine inside a [`PublishedView`]:
+/// every write verb publishes an epoch, every `SELECT` pins the cell, and
+/// the cell's LSN — one tick per engine operation since the view was
+/// declared — is what `AS OF LSN n` addresses. Only the newest epoch is
+/// retained: an older `n` gets the structured
+/// [`DbError::SnapshotUnavailable`]. Epochs are ephemeral by design — a
+/// reopened database publishes from recovered engine state instead of
+/// resurrecting epochs from disk.
 enum Engine {
-    Plain(Box<dyn DurableClassifierView + Send>),
-    Durable(DurableView),
+    Plain(PublishedView<Box<dyn DurableClassifierView + Send>>),
+    Durable(PublishedView<Box<DurableView>>),
     /// `DURABLE REPLICAS n`: the primary plus `n` replicas behind a
     /// `hazy-repl` group. Writes hit the primary; reads are routed across
     /// caught-up replicas; `PROMOTE REPLICA` fails over.
     Replicated(Box<ReplicationGroup>),
 }
 
+/// Where a view's `SELECT`s are answered.
+enum ReadPlane<'a> {
+    /// The view's own epoch cell: pin it and read the snapshot, so a long
+    /// maintenance pass never sits between a query and its answer.
+    Cell(&'a EpochCell),
+    /// Replicated engines keep their own read authority — a caught-up
+    /// replica *is* a pinned remote epoch (primary fallback when none is
+    /// healthy; a fallback read is WAL-logged, so callers pump after).
+    Group(&'a mut ReplicationGroup),
+}
+
 impl Engine {
     fn view(&self) -> &(dyn DurableClassifierView + Send) {
         match self {
-            Engine::Plain(b) => b.as_ref(),
-            Engine::Durable(d) => d,
+            Engine::Plain(p) => p.engine(),
+            Engine::Durable(p) => p.engine(),
             Engine::Replicated(g) => g.primary(),
         }
     }
 
-    fn view_mut(&mut self) -> &mut (dyn DurableClassifierView + Send) {
+    fn read_plane(&mut self) -> ReadPlane<'_> {
         match self {
-            Engine::Plain(b) => b.as_mut(),
-            Engine::Durable(d) => d,
-            Engine::Replicated(g) => g.primary_mut(),
+            Engine::Plain(p) => ReadPlane::Cell(p.cell()),
+            Engine::Durable(p) => ReadPlane::Cell(p.cell()),
+            Engine::Replicated(g) => ReadPlane::Group(g),
         }
+    }
+
+    fn update(&mut self, ex: &TrainingExample) {
+        match self {
+            Engine::Plain(p) => p.update(ex),
+            Engine::Durable(p) => p.update(ex),
+            Engine::Replicated(g) => g.update_batch(std::slice::from_ref(ex)),
+        }
+    }
+
+    fn insert_entity(&mut self, e: Entity) {
+        match self {
+            Engine::Plain(p) => p.insert_entity(e),
+            Engine::Durable(p) => p.insert_entity(e),
+            Engine::Replicated(g) => g.insert_entity(e),
+        }
+    }
+
+    /// The removal is WAL-logged by a durable engine and routed to its
+    /// home shard by a sharded one — same path as an insert.
+    fn remove_entity(&mut self, id: u64) {
+        let _ = match self {
+            Engine::Plain(p) => p.remove_entity(id),
+            Engine::Durable(p) => p.remove_entity(id),
+            Engine::Replicated(g) => g.remove_entity(id),
+        };
+    }
+
+    /// The migration routes through the engine stack: a durable wrapper
+    /// WAL-logs the redo record, a sharded deployment migrates shard by
+    /// shard, the adaptive wrapper does the extraction + rebuild — all
+    /// with the view online. Answer-invisible, but a logical operation:
+    /// an accepted one ticks the epoch LSN, so `AS OF` can tell pre- from
+    /// post-migration.
+    fn set_architecture(&mut self, arch: Architecture, mode: Mode) -> bool {
+        match self {
+            Engine::Plain(p) => p.set_architecture(arch, mode),
+            Engine::Durable(p) => p.set_architecture(arch, mode),
+            Engine::Replicated(g) => g.primary_mut().set_architecture(arch, mode),
+        }
+    }
+
+    /// Idempotent re-insert probe, durable views only: the reopen flow
+    /// replays base-table rows whose entities the recovered view already
+    /// holds from its WAL (on a derived view, together with their training
+    /// effect). Plain views keep the original duplicate-id contract. A
+    /// pinned read — never the engine's `read_single`, which a durable
+    /// engine would write-ahead log.
+    fn recovered_holds(&self, id: u64) -> bool {
+        matches!(self, Engine::Durable(p) if p.cell().pin().classify(id).is_some())
     }
 
     /// Ships any WAL suffix the replicas have not seen yet; a no-op for
@@ -92,82 +161,6 @@ impl Engine {
         if let Engine::Replicated(g) = self {
             g.pump();
         }
-    }
-
-    /// Single-entity read, routed: replicated engines answer from a
-    /// caught-up replica (primary fallback when none is healthy).
-    fn read_routed(&mut self, id: u64) -> Option<i8> {
-        match self {
-            Engine::Replicated(g) => g.read_single(id),
-            e => e.view_mut().read_single(id),
-        }
-    }
-
-    /// All-Members count, routed like [`Engine::read_routed`].
-    fn count_routed(&mut self) -> u64 {
-        match self {
-            Engine::Replicated(g) => g.count_positive(),
-            e => e.view_mut().count_positive(),
-        }
-    }
-
-    /// All-Members listing, routed like [`Engine::read_routed`].
-    fn ids_routed(&mut self) -> Vec<u64> {
-        match self {
-            Engine::Replicated(g) => g.positive_ids(),
-            e => e.view_mut().positive_ids(),
-        }
-    }
-}
-
-/// Lazily-published epoch snapshot serving a view's SELECTs.
-///
-/// The SELECT paths pin an immutable [`hazy_core::ModelEpoch`] instead of
-/// reading the engine in place, so a long maintenance pass (a
-/// reorganization, a migration, a recovery replay) never sits between a
-/// query and its answer. The cache republishes from the engine's snapshot
-/// path the first time a SELECT lands after a mutating statement;
-/// `stmt_lsn` — the count of mutating statements folded into the view —
-/// is the epoch LSN that `AS OF LSN n` addresses. Only the newest epoch
-/// is retained: an older `n` gets the structured
-/// [`DbError::SnapshotUnavailable`], the hook point for a retention
-/// window. Epochs are ephemeral by design — a reopened database
-/// republishes from recovered engine state instead of resurrecting epochs
-/// from disk.
-struct SnapshotCache {
-    cell: Option<Arc<EpochCell>>,
-    stmt_lsn: u64,
-    fresh: bool,
-}
-
-impl SnapshotCache {
-    fn new() -> SnapshotCache {
-        SnapshotCache { cell: None, stmt_lsn: 0, fresh: false }
-    }
-
-    /// A mutating statement landed on the view: the current epoch no
-    /// longer reflects it.
-    fn invalidate(&mut self) {
-        self.stmt_lsn += 1;
-        self.fresh = false;
-    }
-
-    /// The current epoch cell, republishing from the engine if stale.
-    /// `None` when the engine has no snapshot path (answers then come
-    /// from the engine directly, the pre-snapshot behavior).
-    fn current(
-        &mut self,
-        view: &mut (dyn DurableClassifierView + Send),
-    ) -> Option<Arc<EpochCell>> {
-        if !self.fresh || self.cell.is_none() {
-            let (entities, model) = view.snapshot_state()?;
-            // the norm pair only drives the publisher's incremental band
-            // maintenance, which wholesale republication never exercises
-            let publisher = EpochPublisher::new(entities, model, NormPair::TEXT, self.stmt_lsn);
-            self.cell = Some(publisher.handle());
-            self.fresh = true;
-        }
-        self.cell.clone()
     }
 }
 
@@ -213,25 +206,30 @@ struct ViewState {
     /// Base table → column that must hold a non-NULL integer entity key,
     /// validated before any delta of that table enters the graph.
     key_checks: HashMap<String, usize>,
-    /// Epoch snapshot the SELECT paths pin (lazily republished after
-    /// mutating statements).
-    snapshots: SnapshotCache,
 }
 
 impl ViewState {
-    /// Validates an `AS OF LSN` clause against the retained epoch. Only
-    /// the current epoch exists today, so anything but the newest LSN is a
-    /// structured [`DbError::SnapshotUnavailable`].
-    fn check_as_of(&self, name: &str, as_of: Option<u64>) -> Result<(), DbError> {
-        match as_of {
-            None => Ok(()),
-            Some(lsn) if lsn == self.snapshots.stmt_lsn => Ok(()),
-            Some(lsn) => Err(DbError::SnapshotUnavailable {
-                view: name.to_string(),
-                requested: lsn,
-                newest: self.snapshots.stmt_lsn,
-            }),
+    /// The plane a `SELECT` reads, after validating its `AS OF LSN` clause
+    /// against the newest LSN of that plane: the cell's epoch LSN, or —
+    /// for a replicated view — the primary's next WAL LSN, the scale
+    /// `max_lag` is measured in. Only the newest epoch exists today, so
+    /// anything else is a structured [`DbError::SnapshotUnavailable`].
+    fn read_plane(&mut self, name: &str, as_of: Option<u64>) -> Result<ReadPlane<'_>, DbError> {
+        let plane = self.engine.read_plane();
+        if let Some(requested) = as_of {
+            let newest = match &plane {
+                ReadPlane::Cell(cell) => cell.current_lsn(),
+                ReadPlane::Group(g) => g.primary_next_lsn(),
+            };
+            if requested != newest {
+                return Err(DbError::SnapshotUnavailable {
+                    view: name.to_string(),
+                    requested,
+                    newest,
+                });
+            }
         }
+        Ok(plane)
     }
 }
 
@@ -309,72 +307,51 @@ impl Db {
             }
             Statement::SelectLabel { view, key, as_of } => {
                 let v = self.views.get_mut(&view).ok_or_else(|| DbError::NoSuchView(view.clone()))?;
-                v.check_as_of(&view, as_of)?;
-                let label = match &mut v.engine {
-                    // replicated engines keep their own read authority: a
-                    // caught-up replica *is* a pinned remote epoch
-                    Engine::Replicated(_) => {
-                        let l = v.engine.read_routed(key as u64);
-                        // a primary-fallback read is logged; ship it again
-                        v.engine.pump();
+                let label = match v.read_plane(&view, as_of)? {
+                    ReadPlane::Cell(cell) => cell.pin().classify(key as u64),
+                    ReadPlane::Group(g) => {
+                        let l = g.read_single(key as u64);
+                        g.pump();
                         l
                     }
-                    e => match v.snapshots.current(e.view_mut()) {
-                        Some(cell) => cell.pin().classify(key as u64),
-                        None => e.view_mut().read_single(key as u64),
-                    },
                 };
                 Ok(QueryResult::Label(label))
             }
             Statement::SelectCount { view, class, as_of } => {
                 let v = self.views.get_mut(&view).ok_or_else(|| DbError::NoSuchView(view.clone()))?;
-                v.check_as_of(&view, as_of)?;
                 // the engine is the authority on the entity population —
                 // after a crash recovery its durable state (not any
                 // side bookkeeping) says what exists
-                let n = match &mut v.engine {
-                    Engine::Replicated(_) => {
+                let n = match v.read_plane(&view, as_of)? {
+                    ReadPlane::Cell(cell) => {
+                        let pin = cell.pin();
+                        match class {
+                            None => pin.entity_count(),
+                            Some(1) => pin.count_positive(),
+                            Some(_) => pin.entity_count() - pin.count_positive(),
+                        }
+                    }
+                    ReadPlane::Group(g) => {
                         let n = match class {
-                            None => v.engine.view().entity_count(),
-                            Some(1) => v.engine.count_routed(),
-                            Some(_) => v.engine.view().entity_count() - v.engine.count_routed(),
+                            None => g.primary().entity_count(),
+                            Some(1) => g.count_positive(),
+                            Some(_) => g.primary().entity_count() - g.count_positive(),
                         };
-                        v.engine.pump();
+                        g.pump();
                         n
                     }
-                    e => match v.snapshots.current(e.view_mut()) {
-                        Some(cell) => {
-                            let pin = cell.pin();
-                            match class {
-                                None => pin.entity_count(),
-                                Some(1) => pin.count_positive(),
-                                Some(_) => pin.entity_count() - pin.count_positive(),
-                            }
-                        }
-                        None => match class {
-                            None => e.view().entity_count(),
-                            Some(1) => e.view_mut().count_positive(),
-                            Some(_) => {
-                                e.view().entity_count() - e.view_mut().count_positive()
-                            }
-                        },
-                    },
                 };
                 Ok(QueryResult::Count(n))
             }
             Statement::SelectMembers { view, class, as_of } => {
                 let v = self.views.get_mut(&view).ok_or(DbError::NoSuchView(view.clone()))?;
-                v.check_as_of(&view, as_of)?;
-                let pos = match &mut v.engine {
-                    Engine::Replicated(_) => {
-                        let pos = v.engine.ids_routed();
-                        v.engine.pump();
+                let pos = match v.read_plane(&view, as_of)? {
+                    ReadPlane::Cell(cell) => cell.pin().positive_ids(),
+                    ReadPlane::Group(g) => {
+                        let pos = g.positive_ids();
+                        g.pump();
                         pos
                     }
-                    e => match v.snapshots.current(e.view_mut()) {
-                        Some(cell) => cell.pin().positive_ids(),
-                        None => e.view_mut().positive_ids(),
-                    },
                 };
                 if class == 1 {
                     return Ok(QueryResult::Ids(pos));
@@ -413,8 +390,8 @@ impl Db {
             Statement::Checkpoint { view } => {
                 let v = self.views.get_mut(&view).ok_or(DbError::NoSuchView(view.clone()))?;
                 match &mut v.engine {
-                    Engine::Durable(dv) => {
-                        dv.checkpoint();
+                    Engine::Durable(p) => {
+                        p.checkpoint();
                         Ok(QueryResult::Done)
                     }
                     Engine::Replicated(g) => {
@@ -435,14 +412,7 @@ impl Db {
                     Some(m) => mode_by_name(Some(&m))?,
                     None => v.engine.view().mode(),
                 };
-                // the migration routes through the engine stack: a durable
-                // wrapper WAL-logs the redo record, a sharded deployment
-                // migrates shard by shard, the adaptive wrapper does the
-                // extraction + rebuild — all with the view online
-                if v.engine.view_mut().set_architecture(target_arch, target_mode) {
-                    // answer-invisible, but a logical statement: the epoch
-                    // LSN ticks so AS OF can tell pre- from post-migration
-                    v.snapshots.invalidate();
+                if v.engine.set_architecture(target_arch, target_mode) {
                     // on a replicated view the migration's redo record ships
                     // like any other WAL suffix
                     v.engine.pump();
@@ -540,8 +510,8 @@ impl Db {
             fed.retain(|name| name != view);
         }
         match state.engine {
-            Engine::Plain(b) => Ok(b),
-            Engine::Durable(d) => Ok(Box::new(d)),
+            Engine::Plain(p) => Ok(p.into_engine()),
+            Engine::Durable(p) => Ok(p.into_engine()),
             Engine::Replicated(_) => unreachable!("rejected above"),
         }
     }
@@ -709,7 +679,6 @@ impl Db {
                 sink,
                 entity_sink,
                 key_checks,
-                snapshots: SnapshotCache::new(),
             },
         );
         Ok(())
@@ -921,7 +890,6 @@ impl Db {
                 sink,
                 entity_sink,
                 key_checks,
-                snapshots: SnapshotCache::new(),
             },
         );
         Ok(())
@@ -944,6 +912,8 @@ impl Db {
         ents: Vec<Entity>,
         warm: &[TrainingExample],
     ) -> Result<Engine, DbError> {
+        // the epoch stream's watermark band runs on the view's own Hölder pair
+        let pair = builder.configured_norm_pair();
         // SHARDS n routes through the hazy-serve layer: the engine becomes a
         // hash-partitioned ShardedView whose answers are observationally
         // identical to the unsharded build (its own equivalence suite), so
@@ -954,7 +924,7 @@ impl Db {
                     Box::new(hazy_serve::ShardedView::build(builder, n as usize, ents, warm))
                 }
                 // ADAPTIVE + SHARDS: every shard gets its own advisor and
-                // migrates independently under its writer-priority lock
+                // migrates independently under its shard lock
                 (Some(n), true) if n > 1 => Box::new(build_sharded_adaptive(
                     builder,
                     AdvisorConfig::default(),
@@ -1008,10 +978,10 @@ impl Db {
                     })?;
                     Ok(Engine::Replicated(Box::new(group)))
                 }
-                None => Ok(Engine::Durable(dv)),
+                None => Ok(Engine::Durable(PublishedView::new(Box::new(dv), pair, 0))),
             }
         } else {
-            Ok(Engine::Plain(raw(builder)))
+            Ok(Engine::Plain(PublishedView::new(raw(builder), pair, 0)))
         }
     }
 
@@ -1148,8 +1118,7 @@ impl Db {
         let label = label_to_sign(&row[labelc], &vs.pos_label, &vs.known_labels)?;
         let ent = entities_table.get(key).ok_or(DbError::MissingEntity(key))?;
         let f = vs.ff.compute_feature(ent, entities_table.schema());
-        vs.engine.view_mut().update(&TrainingExample::new(key as u64, f, label));
-        vs.snapshots.invalidate();
+        vs.engine.update(&TrainingExample::new(key as u64, f, label));
         Ok(())
     }
 
@@ -1161,10 +1130,7 @@ impl Db {
             RowAction::Insert { id, .. } | RowAction::Remove { id } => *id,
         };
         let RowAction::Insert { row, .. } = action else {
-            // the removal is WAL-logged by a durable engine and routed to
-            // its home shard by a sharded one — same path as an insert
-            let _ = vs.engine.view_mut().remove_entity(id);
-            vs.snapshots.invalidate();
+            vs.engine.remove_entity(id);
             return Ok(());
         };
         match &vs.kind {
@@ -1174,39 +1140,25 @@ impl Db {
                     .get(&decl.entity_table)
                     .ok_or_else(|| DbError::NoSuchTable(decl.entity_table.clone()))?;
                 vs.ff.compute_stats_inc(&row, entities_table.schema());
-                if matches!(vs.engine, Engine::Durable(_))
-                    && vs.engine.view_mut().read_single(id).is_some()
-                {
-                    // idempotent re-insert, durable views only: the reopen
-                    // flow replays base-table rows whose entities the
-                    // recovered view already holds from its WAL. Plain
-                    // views keep the original duplicate-id contract (and
-                    // skip the probe's clock/stats cost entirely).
+                if vs.engine.recovered_holds(id) {
                     return Ok(());
                 }
                 let f = vs.ff.compute_feature(&row, entities_table.schema());
-                vs.engine.view_mut().insert_entity(Entity::new(id, f));
-                vs.snapshots.invalidate();
+                vs.engine.insert_entity(Entity::new(id, f));
             }
             ViewKind::Derived(spec) => {
                 let feat_row: Row = row[..spec.label_idx].to_vec();
                 vs.ff.compute_stats_inc(&feat_row, &spec.feat_schema);
-                if matches!(vs.engine, Engine::Durable(_))
-                    && vs.engine.view_mut().read_single(id).is_some()
-                {
-                    // replayed base row on the reopen path: the recovered
-                    // engine already holds the entity AND its training
-                    // effect, so skip both
+                if vs.engine.recovered_holds(id) {
                     return Ok(());
                 }
                 let f = vs.ff.compute_feature(&feat_row, &spec.feat_schema);
-                vs.engine.view_mut().insert_entity(Entity::new(id, f.clone()));
+                vs.engine.insert_entity(Entity::new(id, f.clone()));
                 let label = &row[spec.label_idx];
                 if *label != Value::Null {
                     let sign = label_to_sign(label, &vs.pos_label, &vs.known_labels)?;
-                    vs.engine.view_mut().update(&TrainingExample::new(id, f, sign));
+                    vs.engine.update(&TrainingExample::new(id, f, sign));
                 }
-                vs.snapshots.invalidate();
             }
         }
         Ok(())
@@ -1471,6 +1423,115 @@ mod tests {
             .unwrap(),
             QueryResult::Label(Some(1))
         );
+    }
+
+    /// `AS OF LSN` on the engine kinds above the plain one: the newest LSN
+    /// answers every read shape, and one more write makes it stale. A
+    /// replicated view addresses the primary's WAL LSN instead of a cell.
+    #[test]
+    fn as_of_tracks_the_newest_lsn_on_every_engine_kind() {
+        for extra in ["USING SVM DURABLE", "USING SVM SHARDS 3", "USING SVM DURABLE REPLICAS 1"] {
+            let mut db = setup();
+            create_view(&mut db, extra);
+            teach(&mut db, 30);
+            let newest_of = |db: &mut Db| {
+                match db.execute("SELECT COUNT(*) FROM Labeled_Papers AS OF LSN 999999") {
+                    Err(DbError::SnapshotUnavailable { requested: 999_999, newest, .. }) => newest,
+                    other => panic!("{extra}: {other:?}"),
+                }
+            };
+            let newest = newest_of(&mut db);
+            assert_eq!(
+                db.execute(&format!(
+                    "SELECT class FROM Labeled_Papers AS OF LSN {newest} WHERE id = 1"
+                ))
+                .unwrap(),
+                QueryResult::Label(Some(1)),
+                "{extra}"
+            );
+            assert_eq!(
+                db.execute(&format!(
+                    "SELECT COUNT(*) FROM Labeled_Papers AS OF LSN {newest} WHERE class = 1"
+                ))
+                .unwrap(),
+                QueryResult::Count(3),
+                "{extra}"
+            );
+            let QueryResult::Ids(mut ids) = db
+                .execute(&format!(
+                    "SELECT id FROM Labeled_Papers AS OF LSN {newest} WHERE class = 1"
+                ))
+                .unwrap()
+            else {
+                panic!("expected ids")
+            };
+            ids.sort_unstable();
+            assert_eq!(ids, vec![1, 2, 5], "{extra}");
+            assert_eq!(newest_of(&mut db), newest, "{extra}: reads do not move the LSN");
+            db.execute("INSERT INTO Example_Papers VALUES (1, 'DB')").unwrap();
+            assert_eq!(newest_of(&mut db), newest + 1, "{extra}");
+            assert!(
+                matches!(
+                    db.execute(&format!(
+                        "SELECT class FROM Labeled_Papers AS OF LSN {newest} WHERE id = 1"
+                    )),
+                    Err(DbError::SnapshotUnavailable { .. })
+                ),
+                "{extra}: the old LSN is stale"
+            );
+        }
+    }
+
+    /// One cell per view, advanced in place: writes interleaved with
+    /// SELECTs never rebuild it, and it publishes exactly one epoch per
+    /// engine operation.
+    #[test]
+    fn writes_publish_into_one_cell_without_rebuilding_it() {
+        let mut db = setup();
+        create_view(&mut db, "USING SVM");
+        let cell = |db: &Db| match &db.views["Labeled_Papers"].engine {
+            Engine::Plain(p) => std::sync::Arc::clone(p.cell()),
+            _ => panic!("plain engine expected"),
+        };
+        let before = cell(&db);
+        assert_eq!(before.stats().published, 1);
+        let mut operations = 0;
+        for k in 0..10 {
+            db.execute("INSERT INTO Example_Papers VALUES (1, 'DB')").unwrap();
+            db.execute("SELECT class FROM Labeled_Papers WHERE id = 1").unwrap();
+            db.execute(&format!("INSERT INTO Papers VALUES ({}, 'database index')", 10 + k))
+                .unwrap();
+            db.execute("SELECT COUNT(*) FROM Labeled_Papers WHERE class = 1").unwrap();
+            operations += 2;
+        }
+        db.execute("DELETE FROM Papers WHERE id = 10").unwrap();
+        db.execute("SELECT id FROM Labeled_Papers WHERE class = 1").unwrap();
+        operations += 1;
+        let after = cell(&db);
+        assert!(std::sync::Arc::ptr_eq(&before, &after), "a write-then-select rebuilt the cell");
+        assert_eq!(after.stats().published, 1 + operations);
+        assert_eq!(after.current_lsn(), operations);
+    }
+
+    /// Regression: the idempotent-reinsert probe used to go through the
+    /// durable engine's `read_single`, so every entity `INSERT` on a
+    /// `DURABLE` view write-ahead logged (append + sync) a `READ` record
+    /// and drove lazy maintenance. The probe is a pinned read now.
+    #[test]
+    fn durable_entity_inserts_log_exactly_one_record_each() {
+        let mut db = setup();
+        create_view(&mut db, "USING SVM DURABLE");
+        let wal_records = |db: &Db| match &db.views["Labeled_Papers"].engine {
+            Engine::Durable(p) => p.engine().stable_records(),
+            _ => panic!("durable engine expected"),
+        };
+        let before = wal_records(&db);
+        for k in 0..5 {
+            db.execute(&format!("INSERT INTO Papers VALUES ({}, 'storage engines')", 10 + k))
+                .unwrap();
+        }
+        assert_eq!(db.view_stats("Labeled_Papers").unwrap().single_reads, 0);
+        assert_eq!(wal_records(&db), before + 5);
     }
 
     #[test]

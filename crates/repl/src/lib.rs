@@ -14,7 +14,8 @@
 //!   the primary (written into the replica's own durable store as a
 //!   checkpoint at offset zero), it ingests shipped WAL frames *verbatim*
 //!   (primary LSNs and CRCs preserved), replays them through the same
-//!   [`replay_record`](hazy_core::replay_record) path crash recovery uses,
+//!   redo path crash recovery uses
+//!   ([`PublishedView::replay_record`](hazy_core::PublishedView::replay_record)),
 //!   and serves reads at its applied LSN. Local reads are **not** logged:
 //!   the replica's store stays a pure replay of the shipped prefix, which
 //!   is exactly why promotion is bit-exact.

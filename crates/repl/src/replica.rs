@@ -3,11 +3,10 @@
 use std::sync::{Arc, Mutex};
 
 use hazy_core::{
-    replay_record, ClassifierView, Durable, DurableClassifierView, DurableView, EpochCell,
-    EpochPublisher, RecoveryInfo, ViewBuilder, ViewRestorer, ViewStats,
+    ClassifierView, Durable, DurableClassifierView, DurableView, EpochCell, PublishedView,
+    RecoveryInfo, ViewBuilder, ViewRestorer, ViewStats,
 };
 use hazy_learn::{Label, LinearModel};
-use hazy_linalg::NormPair;
 use hazy_storage::{
     DurableStore, IngestReport, StorageError, VirtualClock, WalReader,
 };
@@ -22,7 +21,10 @@ use hazy_storage::{
 ///   construction, a pure durable-prefix image of the primary;
 /// * its **live view** is that store recovered once at bootstrap and then
 ///   rolled forward record-by-record as shipments land, through the same
-///   [`replay_record`] dispatcher crash recovery uses.
+///   redo dispatcher crash recovery uses
+///   ([`PublishedView::replay_record`]) — which also advances the
+///   replica's epoch stream by one LSN per record, so
+///   `epoch().current_lsn() == next_lsn()` always.
 ///
 /// Local reads are served from the live view and are **not** logged.
 /// Lazy-mode reads still do maintenance (that is the engine's design), so
@@ -35,7 +37,7 @@ pub struct ReplicaView {
     builder: ViewBuilder,
     restorer: &'static dyn ViewRestorer,
     store: Arc<Mutex<DurableStore>>,
-    live: Box<dyn DurableClassifierView + Send>,
+    live: PublishedView<Box<dyn DurableClassifierView + Send>>,
     /// Bytes of the replica's stable WAL already applied to `live`.
     live_offset: usize,
     /// First LSN this replica was ever shipped (the primary's position at
@@ -45,19 +47,12 @@ pub struct ReplicaView {
     /// cannot remember its own base) re-aligns correctly.
     base_lsn: u64,
     crashes: u64,
-    /// Epoch snapshot of the live view at the applied LSN, republished
-    /// lazily after shipments advance it (see [`ReplicaView::epoch`]).
-    /// Deliberately *not* carried across [`ReplicaView::crash_and_restart`]:
-    /// a restarted replica republishes from recovered state instead of
-    /// resurrecting epochs, while pins held across the crash keep their own
-    /// `Arc` to the old cell.
-    epoch_cell: Option<Arc<EpochCell>>,
 }
 
 impl std::fmt::Debug for ReplicaView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicaView")
-            .field("live", &self.live.describe())
+            .field("live", &self.live.engine().describe())
             .field("next_lsn", &self.next_lsn())
             .field("crashes", &self.crashes)
             .finish()
@@ -105,18 +100,16 @@ impl ReplicaView {
     ) -> Result<(ReplicaView, RecoveryInfo), StorageError> {
         let (recovered, info) =
             DurableView::recover_with_info(&builder, Arc::clone(&store), 0, restorer)?;
-        let live = recovered.into_inner();
-        let live_offset = store.lock().expect("replica store lock").wal.stable_len() as usize;
-        let replica = ReplicaView {
-            builder,
-            restorer,
-            store,
-            live,
-            live_offset,
-            base_lsn,
-            crashes: 0,
-            epoch_cell: None,
+        let (live_offset, next_lsn) = {
+            let guard = store.lock().expect("replica store lock");
+            (guard.wal.stable_len() as usize, guard.wal.next_lsn())
         };
+        // the epoch stream starts at the applied LSN and ticks once per
+        // replayed record from here on
+        let live =
+            PublishedView::new(recovered.into_inner(), builder.configured_norm_pair(), next_lsn);
+        let replica =
+            ReplicaView { builder, restorer, store, live, live_offset, base_lsn, crashes: 0 };
         Ok((replica, info))
     }
 
@@ -135,7 +128,8 @@ impl ReplicaView {
         if report.applied > 0 {
             let stable = guard.wal.stable_bytes();
             for rec in WalReader::new(&stable[self.live_offset..]) {
-                replay_record(self.live.as_mut(), rec.kind, rec.payload)
+                self.live
+                    .replay_record(rec.kind, rec.payload)
                     .ok_or(StorageError::Corrupt("undecodable shipped record"))?;
             }
             self.live_offset = stable.len();
@@ -206,30 +200,22 @@ impl ReplicaView {
 
     /// The replica's epoch cell — the snapshot-read framing of what a
     /// replica *is*: a caught-up replica serving at its applied LSN is a
-    /// pinned remote epoch of the primary. The published epoch is stamped
+    /// pinned remote epoch of the primary. The current epoch is stamped
     /// with [`next_lsn`](ReplicaView::next_lsn), the same number the
     /// replication group's staleness bound (`max_lag`) is measured in —
     /// one LSN scale covers both routing health and snapshot staleness.
     ///
-    /// Republished lazily the first time it is requested after the applied
-    /// LSN advances; between shipments a lazy-mode read may drift the live
-    /// view's *physical* state, but never its model, so an existing epoch
-    /// stays answer-identical. Pins taken from the returned cell stay
-    /// bit-frozen across further ingests and even
-    /// [`crash_and_restart`](ReplicaView::crash_and_restart): the cell is
-    /// `Arc`-shared, so a held pin outlives the live view it snapshotted.
+    /// One cell for the replica's process lifetime, advanced in place by
+    /// every replayed record. Pins taken from it stay bit-frozen across
+    /// further ingests and even
+    /// [`crash_and_restart`](ReplicaView::crash_and_restart): a restart
+    /// publishes a fresh cell from recovered state instead of resurrecting
+    /// epochs, and the old cell is `Arc`-shared, so a held pin outlives
+    /// the live view it snapshotted.
     ///
-    /// `None` when the live view has no snapshot path.
-    pub fn epoch(&mut self) -> Option<Arc<EpochCell>> {
-        let lsn = self.next_lsn();
-        if self.epoch_cell.as_ref().is_none_or(|c| c.current_lsn() != lsn) {
-            let (entities, model) = self.live.snapshot_state()?;
-            // the norm pair only drives the publisher's incremental band
-            // maintenance, which wholesale republication never exercises
-            let publisher = EpochPublisher::new(entities, model, NormPair::TEXT, lsn);
-            self.epoch_cell = Some(publisher.handle());
-        }
-        self.epoch_cell.clone()
+    /// Always `Some` — every engine has a snapshot path.
+    pub fn epoch(&self) -> Option<Arc<EpochCell>> {
+        Some(Arc::clone(self.live.cell()))
     }
 
     /// Serves a single-entity classification at the replica's applied LSN
@@ -255,27 +241,27 @@ impl ReplicaView {
 
     /// The live view's model (moves only when shipped records replay).
     pub fn model(&self) -> &LinearModel {
-        self.live.model()
+        self.live.engine().model()
     }
 
     /// The live view's operation statistics.
     pub fn stats(&self) -> ViewStats {
-        self.live.stats()
+        self.live.engine().stats()
     }
 
     /// Entities currently in the live view.
     pub fn entity_count(&self) -> u64 {
-        self.live.entity_count()
+        self.live.engine().entity_count()
     }
 
     /// The replica's virtual clock (ingest, replay and backoff all charge
     /// here).
     pub fn clock(&self) -> &VirtualClock {
-        self.live.clock()
+        self.live.engine().clock()
     }
 
     /// Human-readable description of the live view.
     pub fn describe(&self) -> String {
-        format!("replica of {}", self.live.describe())
+        format!("replica of {}", self.live.engine().describe())
     }
 }

@@ -22,9 +22,11 @@
 //!   into a cloneable [`ReadHandle`] for many reader threads and a unique
 //!   [`WriteHandle`] for the single writer that applies `update` /
 //!   `update_batch` rounds shard-by-shard and triggers per-shard
-//!   [`reorganize`](WriteHandle::reorganize) off the read path. Only the
-//!   shard currently being written is locked, so reads on the other `N−1`
-//!   shards proceed during maintenance.
+//!   [`reorganize`](WriteHandle::reorganize) off the read path. Reads pin
+//!   per-shard epochs and never take a shard lock — each shard's engine
+//!   and its epoch stream live in one `hazy_core::PublishedView` behind a
+//!   writer–writer mutex — so they proceed on every shard during
+//!   maintenance, the one being written included.
 //!
 //! [`ShardedView`] also implements [`ClassifierView`] itself, which is how
 //! `hazy-rdbms` routes a `CREATE CLASSIFICATION VIEW ... SHARDS n`

@@ -1,7 +1,7 @@
 //! A scoped worker pool driving a mixed read/update workload.
 //!
-//! This is the serving loop the `serve_throughput` and `snapshot_reads`
-//! benches measure: `R` reader threads hammer [`ShardedView::classify`]
+//! This is the serving loop the `serve_throughput` bench measures: `R`
+//! reader threads hammer [`ShardedView::classify`]
 //! (with periodic All-Members counts and ranked reads mixed in) while one
 //! writer thread drains a channel of training-example batches — the
 //! paper's "training examples stream in" regime — applying each round
@@ -12,9 +12,8 @@
 //! Reads are open-loop: readers run until the writer has drained its
 //! stream *and* a configured duration floor has passed, so a report's
 //! `reads_per_sec` is measured under write pressure for the whole window.
-//! Readers default to the epoch snapshot path (never blocked);
-//! [`WorkloadSpec::locked_reads`] switches them to the PR 3 lock-based
-//! path for A/B comparison.
+//! Readers answer from pinned epochs and are never blocked by the writer
+//! (BENCH_PR8.md keeps the A/B against the retired lock-based read path).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -44,11 +43,6 @@ pub struct WorkloadSpec {
     /// Readers keep running at least this long even if the writer finishes
     /// early (lets a pure-read workload use an empty write stream).
     pub duration_floor: Duration,
-    /// When set, single-entity reads go through
-    /// [`ShardedView::classify_locked`] — the PR 3 writer-priority
-    /// baseline that stalls behind in-flight maintenance — instead of the
-    /// epoch snapshot path. Measurement hook only.
-    pub locked_reads: bool,
 }
 
 /// Base-2 latency histogram: bucket `i` counts observations in
@@ -258,11 +252,7 @@ pub fn run_mixed_workload(view: &mut ShardedView, spec: &WorkloadSpec) -> Worklo
                     } else {
                         let id = splitmix(&mut seed) % spec.max_id.max(1);
                         let t = Instant::now();
-                        if spec.locked_reads {
-                            let _ = shared.classify_locked(id);
-                        } else {
-                            let _ = shared.classify(id);
-                        }
+                        let _ = shared.classify(id);
                         let lat = t.elapsed().as_nanos() as u64;
                         max_lat_ns = max_lat_ns.max(lat);
                         histo.record(lat);
@@ -367,7 +357,6 @@ mod tests {
             batches,
             reorganize_every: 4,
             duration_floor: Duration::from_millis(50),
-            locked_reads: false,
         };
         let report = run_mixed_workload(&mut view, &spec);
         assert_eq!(report.update_rounds, 8);
@@ -380,13 +369,13 @@ mod tests {
 
     /// The PR 8 satellite: readers must make progress *during* a long
     /// reorganization, not just achieve throughput around it. A
-    /// single-shard view (the worst case — under the PR 3 writer-priority
-    /// locks every read contends with every maintenance round) takes
+    /// single-shard view (the worst case — a read path that shared the
+    /// shard lock would contend with every maintenance round) takes
     /// heavyweight write rounds; the snapshot path must keep the worst
     /// observed read far below the longest write round, i.e. no reader
-    /// ever waited out maintenance. The same bound **fails** under the
-    /// locked baseline (`locked_reads: true`): a read landing mid-round
-    /// waits for the round, so its latency approaches `max_write_round`.
+    /// ever waited out maintenance. A reader that did wait would show a
+    /// latency approaching `max_write_round` (the retired lock-based
+    /// path's behaviour, measured in BENCH_PR8.md).
     #[test]
     fn snapshot_reads_bound_latency_during_reorganization() {
         let n = 60_000u64;
@@ -418,7 +407,6 @@ mod tests {
             batches,
             reorganize_every: 1,
             duration_floor: Duration::ZERO,
-            locked_reads: false,
         };
         let report = run_mixed_workload(&mut view, &spec);
         assert_eq!(report.update_rounds, 10);

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use hazy_core::{
     Architecture, ClassifierView, CoreRestorer, Durable, DurableClassifierView, Entity, EpochCell,
-    EpochPin, EpochPublisher, EpochStats, MemoryFootprint, Mode, ViewBuilder, ViewRestorer,
+    EpochPin, EpochStats, MemoryFootprint, Mode, PublishedView, ViewBuilder, ViewRestorer,
     ViewStats, SHARDED_VIEW_TAG,
 };
 use hazy_learn::{Label, LinearModel, TrainingExample};
@@ -26,8 +26,8 @@ use hazy_storage::{DurableStore, VirtualClock};
 
 use crate::kway;
 
-/// Global serving-plane metrics: snapshot vs locked read counts and
-/// write rounds, aggregated across every sharded view in the process.
+/// Global serving-plane metrics: snapshot read counts and write rounds,
+/// aggregated across every sharded view in the process.
 ///
 /// `snapshot_reads` (and the per-shard `serve_shard<i>_reads_total`
 /// counters) are *derived* from each shard's epoch-cell pin count — the
@@ -40,7 +40,6 @@ use crate::kway;
 /// it pins, and the front's batched lane counts once per shard group.
 struct ServeObs {
     snapshot_reads: &'static hazy_obs::Counter,
-    locked_reads: &'static hazy_obs::Counter,
     write_rounds: &'static hazy_obs::Counter,
 }
 
@@ -48,7 +47,6 @@ fn serve_obs() -> &'static ServeObs {
     static OBS: std::sync::OnceLock<ServeObs> = std::sync::OnceLock::new();
     OBS.get_or_init(|| ServeObs {
         snapshot_reads: hazy_obs::counter("serve_snapshot_reads_total"),
-        locked_reads: hazy_obs::counter("serve_locked_reads_total"),
         write_rounds: hazy_obs::counter("serve_write_rounds_total"),
     })
 }
@@ -62,45 +60,36 @@ fn shard_read_counter(i: usize) -> &'static hazy_obs::Counter {
 
 
 /// One shard: a complete classification view over its slice of the
-/// entities, plus the epoch publication state readers actually consume.
+/// entities, in lockstep with the epoch stream readers actually consume.
 ///
 /// The view mutex is **writer–writer only**: readers answer from pinned
 /// epochs and never acquire it, so the only contenders are the single
 /// logical writer and control-plane fan-outs (stats, checkpoint,
-/// migration). No priority protocol is needed anymore — the starvation
-/// problem the PR 3 writer-priority locks solved existed only because
-/// readers and the writer shared this lock.
+/// migration).
 struct Shard {
-    view: Mutex<Box<dyn DurableClassifierView + Send>>,
+    view: Mutex<PublishedView<Box<dyn DurableClassifierView + Send>>>,
     /// Per-shard load counter (`serve_shard<i>_reads_total`), fed by
     /// [`Shard::sync_reads`] — never bumped on the read path itself.
     obs_reads: &'static hazy_obs::Counter,
     /// High-water mark of the epoch cell's pin total already folded into
     /// the read counters.
     reads_synced: AtomicU64,
-    /// Writer-side epoch maintenance (watermark-band-pruned label-patch
-    /// overlay). Locked after `view` by write paths; readers never touch
-    /// it.
-    publisher: Mutex<EpochPublisher>,
-    /// The publication point readers pin — shared out (`Arc`) so handles
-    /// and replica layers can hold it beyond the shard's borrow.
+    /// The publication point readers pin (`view`'s cell, held beside the
+    /// mutex so the read path never takes it) — shared out (`Arc`) so
+    /// handles and replica layers can hold it beyond the shard's borrow.
     epochs: Arc<EpochCell>,
 }
 
 impl Shard {
     /// Wraps a freshly built (or restored) engine, publishing its current
     /// answer state as epoch 0.
-    fn new(mut view: Box<dyn DurableClassifierView + Send>, pair: NormPair, index: usize) -> Shard {
-        let (entities, model) = view
-            .snapshot_state()
-            .expect("shard engine has no snapshot path for epoch publication");
-        let publisher = EpochPublisher::new(entities, model, pair, 0);
-        let epochs = publisher.handle();
+    fn new(view: Box<dyn DurableClassifierView + Send>, pair: NormPair, index: usize) -> Shard {
+        let view = PublishedView::new(view, pair, 0);
+        let epochs = Arc::clone(view.cell());
         Shard {
             view: Mutex::new(view),
             obs_reads: shard_read_counter(index),
             reads_synced: AtomicU64::new(0),
-            publisher: Mutex::new(publisher),
             epochs,
         }
     }
@@ -120,7 +109,7 @@ impl Shard {
         }
     }
 
-    /// Poison recovery on both shard locks: a writer that panics mid-round
+    /// Poison recovery on the shard lock: a writer that panics mid-round
     /// poisons the mutex, but panics are only ever observed *between*
     /// maintenance rounds — every engine's `update_batch`/`read_*` leaves
     /// its state consistent at return, and a torn round is re-driven by the
@@ -129,12 +118,8 @@ impl Shard {
     /// (every later read, checkpoint, and migration panicking on `lock`),
     /// which is exactly the outage the front end's panic-free serve paths
     /// exist to prevent.
-    fn lock_view(&self) -> MutexGuard<'_, Box<dyn DurableClassifierView + Send>> {
+    fn lock_view(&self) -> MutexGuard<'_, PublishedView<Box<dyn DurableClassifierView + Send>>> {
         self.view.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_publisher(&self) -> MutexGuard<'_, EpochPublisher> {
-        self.publisher.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -267,7 +252,7 @@ impl ShardedView {
             .enumerate()
             .map(|(i, part)| Shard::new(make_shard(&builder, part, warm, clock.clone()), pair, i))
             .collect();
-        let model_cache = shards[0].lock_view().model().clone();
+        let model_cache = shards[0].lock_view().engine().model().clone();
         ShardedView { shards, clock, model_cache }
     }
 
@@ -285,10 +270,6 @@ impl ShardedView {
         (ReadHandle { view: Arc::clone(&shared) }, WriteHandle { view: shared })
     }
 
-    fn lock_shard_write(&self, s: usize) -> MutexGuard<'_, Box<dyn DurableClassifierView + Send>> {
-        self.shards[s].lock_view()
-    }
-
     /// Runs `op` against every shard on its own scoped thread and returns
     /// the results in shard order — the **control-plane** fan-out (stats,
     /// memory), which still goes through the shard locks. The data-plane
@@ -301,7 +282,7 @@ impl ShardedView {
     fn fan_out<T, F>(&self, op: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(&mut (dyn DurableClassifierView + Send)) -> T + Sync,
+        F: Fn(&(dyn DurableClassifierView + Send)) -> T + Sync,
     {
         static HOST_PARALLEL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let parallel = self.shards.len() > 1
@@ -309,7 +290,7 @@ impl ShardedView {
                 std::thread::available_parallelism().map(|n| n.get() > 1).unwrap_or(false)
             });
         if !parallel {
-            return (0..self.shards.len()).map(|s| op(self.lock_shard_write(s).as_mut())).collect();
+            return self.shards.iter().map(|shard| op(shard.lock_view().engine())).collect();
         }
         crossbeam::scope(|s| {
             let handles: Vec<_> = self
@@ -317,7 +298,7 @@ impl ShardedView {
                 .iter()
                 .map(|shard| {
                     let op = &op;
-                    s.spawn(move |_| op(shard.lock_view().as_mut()))
+                    s.spawn(move |_| op(shard.lock_view().engine()))
                 })
                 .collect();
             handles
@@ -403,17 +384,6 @@ impl ShardedView {
             .collect()
     }
 
-    /// The PR 3 read path, kept as the measured baseline: goes through the
-    /// shard lock and the engine's stateful `read_single` (lazy
-    /// maintenance, buffer faults), so it stalls behind whatever write is
-    /// in flight. `snapshot_reads` benches this against
-    /// [`classify`](ShardedView::classify) to quantify the epoch win; it
-    /// is not part of the serving surface.
-    pub fn classify_locked(&self, id: u64) -> Option<Label> {
-        serve_obs().locked_reads.inc();
-        self.lock_shard_write(shard_of(id, self.shards.len())).read_single(id)
-    }
-
     /// Sums the per-shard operation counters. `updates` and `all_members`
     /// are taken from shard 0 instead of summed: update rounds are
     /// replicated to every shard and fan-out queries visit every shard, so
@@ -480,12 +450,12 @@ impl ShardedView {
     // and apply SGD steps to different shards in different orders, silently
     // diverging the replicated models.
     //
-    // Each per-shard step is: mutate the engine under the shard lock, then
-    // fold the same logical operation into the shard's epoch publisher —
-    // one atomic pointer swap later, readers see the new state. Readers on
-    // the other N−1 shards never notice; readers on *this* shard keep
-    // their pinned epochs and fresh pins see the pre-swap epoch until the
-    // swap lands.
+    // Each per-shard step is one `PublishedView` write verb under the
+    // shard lock: the engine mutates, the same logical operation folds
+    // into the shard's epoch stream, and one atomic pointer swap later
+    // readers see the new state. Readers on the other N−1 shards never
+    // notice; readers on *this* shard keep their pinned epochs and fresh
+    // pins see the pre-swap epoch until the swap lands.
 
     /// Applies one training example to every shard, one shard at a time.
     pub(crate) fn broadcast_update(&self, ex: &TrainingExample) {
@@ -501,11 +471,7 @@ impl ShardedView {
         }
         serve_obs().write_rounds.inc();
         for shard in &self.shards {
-            let mut view = shard.lock_view();
-            view.update_batch(batch);
-            let model = view.model().clone();
-            drop(view);
-            shard.lock_publisher().apply_update(&model);
+            shard.lock_view().update_batch(batch);
             shard.sync_reads();
         }
     }
@@ -513,18 +479,13 @@ impl ShardedView {
     /// Routes a new entity to its home shard, classifies it there, and
     /// publishes it.
     pub(crate) fn route_insert_entity(&self, e: Entity) {
-        let shard = &self.shards[shard_of(e.id, self.shards.len())];
-        shard.lock_view().insert_entity(e.clone());
-        shard.lock_publisher().apply_insert(e);
+        self.shards[shard_of(e.id, self.shards.len())].lock_view().insert_entity(e);
     }
 
     /// Routes a retraction to the entity's home shard (the only shard that
     /// can hold it, since [`shard_of`] is pure).
     pub(crate) fn route_remove_entity(&self, id: u64) -> bool {
-        let shard = &self.shards[shard_of(id, self.shards.len())];
-        let hit = shard.lock_view().remove_entity(id);
-        shard.lock_publisher().apply_remove(id);
-        hit
+        self.shards[shard_of(id, self.shards.len())].lock_view().remove_entity(id)
     }
 
     /// Reorganizes shard by shard — the `VACUUM`-style maintenance entry
@@ -534,7 +495,6 @@ impl ShardedView {
     pub(crate) fn broadcast_reorganize(&self) {
         for shard in &self.shards {
             shard.lock_view().reorganize();
-            shard.lock_publisher().apply_reorganize();
         }
     }
 
@@ -582,7 +542,7 @@ impl ShardedView {
             }
             shards.push(Shard::new(view, pair, i));
         }
-        let model_cache = shards[0].lock_view().model().clone();
+        let model_cache = shards[0].lock_view().engine().model().clone();
         Some(ShardedView { shards, clock, model_cache })
     }
 
@@ -620,9 +580,9 @@ impl Durable for ShardedView {
         out.push(SHARDED_VIEW_TAG);
         out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
         let mut blob = Vec::new();
-        for s in 0..self.shards.len() {
+        for shard in &self.shards {
             blob.clear();
-            self.lock_shard_write(s).save_state(&mut blob);
+            shard.lock_view().engine().save_state(&mut blob);
             out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
             out.extend_from_slice(&blob);
         }
@@ -651,13 +611,14 @@ impl ViewRestorer for ServeRestorer {
 
 impl ClassifierView for ShardedView {
     fn describe(&self) -> String {
-        format!("sharded×{} over {}", self.shards.len(), self.lock_shard_write(0).describe())
+        let shard0 = self.shards[0].lock_view().engine().describe();
+        format!("sharded×{} over {shard0}", self.shards.len())
     }
 
     fn mode(&self) -> Mode {
         // read live from shard 0: adaptive shards can change mode at any
         // round, so a build-time cache would go stale
-        self.lock_shard_write(0).mode()
+        self.shards[0].lock_view().engine().mode()
     }
 
     fn update(&mut self, ex: &TrainingExample) {
@@ -718,16 +679,10 @@ impl ClassifierView for ShardedView {
     fn set_architecture(&mut self, arch: Architecture, mode: Mode) -> bool {
         // an explicit ALTER retargets the whole deployment: every shard
         // migrates behind its shard lock, one at a time. Readers are
-        // oblivious — a migration preserves every answer bit-for-bit, so
-        // the publisher just records the operation (no answer changed,
-        // nothing to republish but the LSN tick).
+        // oblivious — a migration preserves every answer bit-for-bit.
         let mut all = true;
         for shard in &self.shards {
-            let ok = shard.lock_view().set_architecture(arch, mode);
-            if ok {
-                shard.lock_publisher().apply_noop();
-            }
-            all &= ok;
+            all &= shard.lock_view().set_architecture(arch, mode);
         }
         all
     }
@@ -797,12 +752,6 @@ impl ReadHandle {
     /// See [`ShardedView::epoch_stats`].
     pub fn epoch_stats(&self) -> Vec<EpochStats> {
         self.view.epoch_stats()
-    }
-
-    /// See [`ShardedView::classify_locked`] — the PR 3 baseline read path,
-    /// kept for A/B measurement only.
-    pub fn classify_locked(&self, id: u64) -> Option<Label> {
-        self.view.classify_locked(id)
     }
 
     /// See [`ShardedView::stats`].
