@@ -10,6 +10,7 @@
 //! (e.g. lazy updates ≈ 1.6k–2.8k/s; single-entity reads ≈ 13k/s), leaving
 //! the *relative* gains to come from the algorithms, as in the paper.
 
+use hazy_learn::LinearModel;
 use hazy_linalg::Features;
 use hazy_storage::VirtualClock;
 
@@ -55,6 +56,12 @@ pub fn classify_cost<F: Features>(f: &F) -> u64 {
 /// Charges a batch of per-tuple work to the clock.
 pub(crate) fn charge_classify<F: Features>(clock: &VirtualClock, f: &F) {
     clock.charge_cpu_ops(classify_cost(f));
+}
+
+/// One charged classification: the margin of `f` under `model`.
+pub(crate) fn charged_margin<F: Features>(clock: &VirtualClock, model: &LinearModel, f: &F) -> f64 {
+    charge_classify(clock, f);
+    model.margin(f)
 }
 
 #[cfg(test)]

@@ -1,767 +1,52 @@
-//! Hazy's on-disk architecture (Section 3.2).
-//!
-//! The scratch table `H(id, f, eps)` lives in a heap file physically
-//! clustered by `eps` descending, with
-//!
-//! * a clustered B+-tree on `eps` (keys are order-reversed so ascending key
-//!   order equals descending `eps` — the heap's physical order), and
-//! * a hash index `id → rid` for single-entity reads.
-//!
-//! An eager update retrains, widens the watermarks, and touches only tuples
-//! with `eps ∈ [lw, hw]`: the B+-tree finds the first qualifying tuple and
-//! the walk proceeds in physical heap order, so the range scan is
-//! sequential I/O. The Skiing strategy decides when to recluster.
-//!
-//! Entities inserted between reorganizations land in an unsorted *tail*
-//! region of the heap (indexed by both indexes); the next reorganization
-//! folds them into the sorted segment.
+//! Hazy's on-disk architecture (Section 3.2): [`HazyView`] over the
+//! clustered [`DiskStore`], plus the hooks the hybrid and the experiment
+//! harness reach the on-disk structure through.
 
-use std::cmp::Ordering;
+use hazy_learn::Label;
 
-use hazy_learn::{sign, Label, LinearModel, SgdTrainer, TrainingExample};
-use hazy_linalg::{wire, Norm, NormPair, OrdF64};
-use hazy_storage::{BTree, BufferPool, HashIndex, HeapFile, Rid, SimDisk, VirtualClock};
-
-use crate::cost::{charge_classify, OpOverheads};
-use crate::durable::{tag, Durable};
-use crate::entity::{
-    decode_tuple, decode_tuple_header, decode_tuple_ref, encode_tuple, Entity, HTuple, HTupleRef,
-    TUPLE_LABEL_OFFSET,
-};
-use crate::merge::merge_sorted_tail;
-use crate::skiing::Skiing;
-use crate::stats::{MemoryFootprint, ViewStats};
-use crate::view::{ClassifierView, Mode};
-use crate::watermark::{DeltaTracker, WaterMarks, WatermarkPolicy};
-
-/// B+-tree key for a tuple: `(order-reversed eps, id)`. Ascending key order
-/// is descending `eps` order, matching the clustered heap.
-fn eps_key(eps: f64, id: u64) -> (u64, u64) {
-    (OrdF64(-eps).sortable_key(), id)
-}
-
-/// Inverse of the first key component.
-fn key_eps(k0: u64) -> f64 {
-    -OrdF64::from_sortable_key(k0).0
-}
-
-/// The clustering order: eps descending, ids breaking ties.
-fn tuple_cmp(a: &HTuple, b: &HTuple) -> Ordering {
-    b.eps.total_cmp(&a.eps).then(a.id.cmp(&b.id))
-}
-
-/// `a` may precede `b` under [`tuple_cmp`] (the merge predicate).
-fn tuple_le(a: &HTuple, b: &HTuple) -> bool {
-    tuple_cmp(a, b) != Ordering::Greater
-}
+use crate::disk_store::DiskStore;
+use crate::entity::HTupleRef;
+use crate::hazy::HazyView;
+use crate::store::{Row, Store};
 
 /// Hazy on-disk view (`Hazy-OD`).
-pub struct HazyDiskView {
-    mode: Mode,
-    overheads: OpOverheads,
-    pool: BufferPool,
-    heap: HeapFile,
-    btree: BTree,
-    hash: HashIndex,
-    /// First record of the unsorted tail, if any.
-    first_tail_rid: Option<Rid>,
-    /// Tuples in the sorted segment (heap order positions before the tail).
-    n_sorted: u64,
-    /// Trainer rounds at the last reorganization; when the model has not
-    /// advanced since, the clustered run's eps keys are still exact and a
-    /// reorganization reduces to folding the tail in by merge.
-    rounds_at_reorg: u64,
-    trainer: SgdTrainer,
-    wm: WaterMarks,
-    tracker: DeltaTracker,
-    skiing: Skiing,
-    pair: NormPair,
-    policy: WatermarkPolicy,
-    m_norm: f64,
-    reorg_epoch: u64,
-    stats: ViewStats,
-    scratch: Vec<u8>,
-}
+pub type HazyDiskView = HazyView<DiskStore>;
 
 impl HazyDiskView {
-    /// Builds the view and performs the initial organization (measuring the
-    /// first `S`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        entities: Vec<Entity>,
-        trainer: SgdTrainer,
-        mut pool: BufferPool,
-        overheads: OpOverheads,
-        mode: Mode,
-        pair: NormPair,
-        policy: WatermarkPolicy,
-        alpha: f64,
-    ) -> HazyDiskView {
-        let m_norm = entities.iter().map(|e| e.f.norm(pair.q)).fold(0.0f64, f64::max);
-        // stage the raw tuples into an unclustered heap; the initial
-        // reorganization below rewrites them clustered
-        let mut heap = HeapFile::new();
-        let mut scratch = Vec::new();
-        let n = entities.len();
-        for e in entities {
-            scratch.clear();
-            encode_tuple(&HTuple { id: e.id, label: 1, eps: 0.0, f: e.f }, &mut scratch);
-            heap.append(&mut pool, &scratch).expect("entity tuple fits a page");
-        }
-        let btree = BTree::new(&mut pool);
-        let hash = HashIndex::with_capacity(&mut pool, n);
-        let wm = WaterMarks::new(trainer.model().clone(), pair, m_norm, policy);
-        let tracker = DeltaTracker::new(trainer.model(), pair.p);
-        let mut view = HazyDiskView {
-            mode,
-            overheads,
-            pool,
-            heap,
-            btree,
-            hash,
-            first_tail_rid: None,
-            n_sorted: 0,
-            // sentinel: staged tuples start unkeyed (eps = 0), so the first
-            // organization must always take the full re-keying path
-            rounds_at_reorg: u64::MAX,
-            trainer,
-            wm,
-            tracker,
-            skiing: Skiing::new(alpha, 0.0),
-            pair,
-            policy,
-            m_norm,
-            reorg_epoch: 0,
-            stats: ViewStats::default(),
-            scratch,
-        };
-        view.reorganize_inner();
-        view
-    }
-
-    /// Inverse of this view's [`Durable::save_state`] (tag byte already
-    /// consumed): control state, then disk image, pool, and the three
-    /// access-method directories.
-    pub(crate) fn restore_state(
-        b: &mut &[u8],
-        clock: VirtualClock,
-        overheads: OpOverheads,
-    ) -> Option<HazyDiskView> {
-        let mode = Mode::from_tag(wire::take_u8(b)?)?;
-        let trainer = SgdTrainer::restore_state(b)?;
-        let stats = ViewStats::restore_state(b)?;
-        let p = Norm::from_tag(wire::take_u8(b)?)?;
-        let q = Norm::from_tag(wire::take_u8(b)?)?;
-        let policy = WatermarkPolicy::from_tag(wire::take_u8(b)?)?;
-        let m_norm = wire::take_f64(b)?;
-        let n_sorted = wire::take_u64(b)?;
-        let rounds_at_reorg = wire::take_u64(b)?;
-        let reorg_epoch = wire::take_u64(b)?;
-        let first_tail_raw = wire::take_u64(b)?;
-        let first_tail_rid =
-            if first_tail_raw == u64::MAX { None } else { Some(Rid::from_u64(first_tail_raw)) };
-        let wm = WaterMarks::restore_state(b)?;
-        let tracker = DeltaTracker::restore_state(b)?;
-        let skiing = Skiing::restore_state(b)?;
-        let disk = SimDisk::restore_state(b, clock)?;
-        let pool = BufferPool::restore_state(b, disk)?;
-        let heap = HeapFile::restore_state(b)?;
-        let btree = BTree::restore_state(b)?;
-        let hash = HashIndex::restore_state(b)?;
-        Some(HazyDiskView {
-            mode,
-            overheads,
-            pool,
-            heap,
-            btree,
-            hash,
-            first_tail_rid,
-            n_sorted,
-            rounds_at_reorg,
-            trainer,
-            wm,
-            tracker,
-            skiing,
-            pair: NormPair { p, q },
-            policy,
-            m_norm,
-            reorg_epoch,
-            stats,
-            scratch: Vec::new(),
-        })
-    }
-
-    /// Current `[lw, hw]` band.
-    pub fn waterband(&self) -> (f64, f64) {
-        (self.wm.low(), self.wm.high())
-    }
-
     /// Experiment hook (Figure 6(B)): force the uncertain band.
     pub fn force_waterband(&mut self, lw: f64, hw: f64) {
         self.wm.set_band(lw, hw);
     }
 
-    /// Number of tuples currently inside the band, found via the clustered
-    /// index. Entries whose heap record is gone are skipped: removals leave
-    /// stale index entries behind (the B+-tree has no delete path) until
-    /// the next reorganization rebuilds the tree from the live heap.
-    pub fn tuples_in_band(&mut self) -> u64 {
-        let (lw, hw) = self.waterband();
-        let mut rids: Vec<Rid> = Vec::new();
-        self.btree.scan_from(&mut self.pool, eps_key(hw, 0), |k, v| {
-            if key_eps(k.0) < lw {
-                return false;
-            }
-            rids.push(Rid::from_u64(v));
-            true
-        });
-        rids.into_iter()
-            .filter(|&rid| self.heap.get(&mut self.pool, rid, |_| ()).is_ok())
-            .count() as u64
-    }
-
-    /// The Skiing controller (ablation benches).
-    pub fn skiing(&self) -> &Skiing {
-        &self.skiing
-    }
-
-    /// Reorganizations performed (the hybrid watches this to refresh its
-    /// ε-map).
+    /// Physical reorganizations performed (the hybrid watches this to
+    /// refresh its ε-map; a free reorganization rewrites nothing and does
+    /// not count).
     pub fn reorg_epoch(&self) -> u64 {
-        self.reorg_epoch
+        self.store.epoch()
     }
 
-    /// Iterates every tuple (sorted segment then tail), decoded. Used by
-    /// the hybrid to (re)build its in-memory structures.
-    pub fn for_each_tuple(&mut self, mut f: impl FnMut(&HTuple)) {
-        self.heap.scan(&mut self.pool, |_, bytes| {
-            f(&decode_tuple(bytes).expect("well-formed tuple"));
-            true
-        });
-    }
-
-    /// Zero-copy variant of [`for_each_tuple`](Self::for_each_tuple): the
-    /// visitor sees tuples borrowed straight from the page bytes, so
-    /// consumers that materialize only a small subset never pay a per-tuple
-    /// allocation.
+    /// Iterates every tuple (sorted segment then tail). The visitor sees
+    /// tuples borrowed straight from the page bytes, so consumers that
+    /// materialize only a small subset never pay a per-tuple allocation.
     pub fn for_each_tuple_ref(&mut self, mut f: impl FnMut(&HTupleRef)) {
-        self.heap.scan(&mut self.pool, |_, bytes| {
-            f(&decode_tuple_ref(bytes).expect("well-formed tuple"));
-            true
-        });
+        self.store.scan_all(|row| f(&row.tuple_ref()));
     }
 
     /// Cheapest scan of all: only the fixed `(id, label, eps)` prefix of
     /// each tuple is decoded — O(1) per tuple, skipping even the feature
     /// payload's validation. The hybrid's ε-map rebuild runs on this.
     pub fn for_each_header(&mut self, mut f: impl FnMut(u64, Label, f64)) {
-        self.heap.scan(&mut self.pool, |_, bytes| {
-            let (id, label, eps) = decode_tuple_header(bytes).expect("well-formed tuple");
-            f(id, label, eps);
-            true
-        });
-    }
-
-    /// Folds the current model round into the watermarks (O(1)); lazy reads
-    /// call this before consulting the band.
-    pub fn fold_watermarks(&mut self) {
-        self.wm.observe_bounded(self.tracker.bound(), self.trainer.model().b);
-    }
-
-    /// The watermark state (hybrid shares it for its ε-map pruning).
-    pub fn watermarks(&self) -> &WaterMarks {
-        &self.wm
-    }
-
-    fn clock(&self) -> VirtualClock {
-        self.pool.disk().clock().clone()
-    }
-
-    /// Single-entity read without the per-statement overhead charge or the
-    /// `single_reads` counter bump — the hybrid's disk-fallback path, which
-    /// already paid the statement overhead itself.
-    pub(crate) fn read_single_inner(&mut self, id: u64) -> Option<Label> {
-        let clock = self.clock();
-        let rid = Rid::from_u64(self.hash.get(&mut self.pool, id)?);
-        match self.mode {
-            Mode::Eager => {
-                let (_, label, _) =
-                    self.heap.get(&mut self.pool, rid, decode_tuple_header).ok()?.ok()?;
-                Some(label)
-            }
-            Mode::Lazy => {
-                self.fold_watermarks();
-                let (_, _, eps) =
-                    self.heap.get(&mut self.pool, rid, decode_tuple_header).ok()?.ok()?;
-                if let Some(l) = self.wm.certain_label(eps) {
-                    clock.charge_cpu_ops(1);
-                    return Some(l);
-                }
-                // classify in place on the pinned page's bytes: the closure
-                // runs while the page is latched, so no copy is made
-                let trainer = &self.trainer;
-                self.heap
-                    .get(&mut self.pool, rid, |bytes| {
-                        decode_tuple_ref(bytes).ok().map(|t| {
-                            charge_classify(&clock, &t.f);
-                            trainer.model().predict(&t.f)
-                        })
-                    })
-                    .ok()?
-            }
-        }
-    }
-
-    /// Reorganization, with the same three regimes as the main-memory view:
-    /// free when the model is unchanged and no tail exists; one
-    /// sort-tail-then-merge pass (no reclassification, `charge_sort(t)` +
-    /// `charge_merge(n)`) when the run's keys are still valid; full re-key
-    /// plus `charge_sort(n)` otherwise. The heap rewrite and index rebuild
-    /// below are shared by the two non-free regimes — reclustering is a
-    /// physical rewrite either way; what the merge regime saves is the
-    /// O(n · nnz) reclassification pass and the superlinear sort.
-    pub(crate) fn reorganize_inner(&mut self) {
-        let clock = self.clock();
-        let t0 = clock.now_ns();
-        let model_clean = self.rounds_at_reorg == self.trainer.steps();
-        if model_clean && self.first_tail_rid.is_none() {
-            // free regime: every key exact, heap already clustered
-            let s = (clock.now_ns() - t0) as f64;
-            self.skiing.reorganized(s);
-            self.stats.reorgs += 1;
-            self.stats.last_reorg_ns = s as u64;
-        crate::stats::obs_reorg(s as u64);
-            return;
-        }
-        let model = self.trainer.model().clone();
-        // 1. read every tuple in one sequential pass; when the model moved,
-        //    re-key under the current model (decode borrows the page bytes;
-        //    the owned copy is made once per tuple for the rewrite below)
-        let mut tuples: Vec<HTuple> = Vec::with_capacity(self.heap.len() as usize);
-        self.heap.scan(&mut self.pool, |_, bytes| {
-            let tref = decode_tuple_ref(bytes).expect("well-formed tuple");
-            let mut t = tref.to_owned();
-            if !model_clean {
-                charge_classify(&clock, &tref.f);
-                t.eps = model.margin(&tref.f);
-                t.label = sign(t.eps);
-            }
-            tuples.push(t);
-            true
-        });
-        // 2. restore clustered order. The first n_sorted tuples form the
-        //    ε-sorted run from the last reorganization; if their keys are
-        //    still in run order (always, when the model is clean), sorting
-        //    the tail and merging is O(t log t + n) instead of O(n log n).
-        let split = (self.n_sorted as usize).min(tuples.len());
-        let mergeable = model_clean || {
-            clock.charge_cpu_ops(split as u64);
-            tuples[..split].is_sorted_by(tuple_le)
-        };
-        if mergeable {
-            let tail_len = (tuples.len() - split) as u64;
-            clock.charge_sort(tail_len);
-            tuples[split..].sort_unstable_by(tuple_cmp);
-            // with a single run (empty prefix or empty tail) the merge is a
-            // no-op — charge only when two runs actually fold
-            if split > 0 && tail_len > 0 {
-                clock.charge_merge(tuples.len() as u64);
-                merge_sorted_tail(&mut tuples, split, tuple_le);
-            }
-        } else {
-            clock.charge_sort(tuples.len() as u64);
-            tuples.sort_unstable_by(tuple_cmp);
-        }
-        // 3. rewrite the heap clustered, rebuild both indexes
-        self.heap.destroy(&mut self.pool);
-        self.btree.destroy(&mut self.pool);
-        self.hash.destroy(&mut self.pool);
-        self.hash = HashIndex::with_capacity(&mut self.pool, tuples.len());
-        let mut index_entries: Vec<((u64, u64), u64)> = Vec::with_capacity(tuples.len());
-        for t in &tuples {
-            self.scratch.clear();
-            encode_tuple(t, &mut self.scratch);
-            let rid = self.heap.append(&mut self.pool, &self.scratch).expect("tuple fits a page");
-            index_entries.push((eps_key(t.eps, t.id), rid.to_u64()));
-            self.hash.insert(&mut self.pool, t.id, rid.to_u64()).expect("unique entity ids");
-        }
-        self.btree = BTree::bulk_load(&mut self.pool, &index_entries);
-        self.pool.flush_all();
-        self.n_sorted = tuples.len() as u64;
-        self.first_tail_rid = None;
-        self.wm = WaterMarks::new(model.clone(), self.pair, self.m_norm, self.policy);
-        self.tracker = DeltaTracker::new(&model, self.pair.p);
-        self.rounds_at_reorg = self.trainer.steps();
-        let s = (clock.now_ns() - t0) as f64;
-        self.skiing.reorganized(s);
-        self.reorg_epoch += 1;
-        self.stats.reorgs += 1;
-        self.stats.last_reorg_ns = s as u64;
-        crate::stats::obs_reorg(s as u64);
-    }
-
-    /// Eager incremental step: reclassify the `[lw, hw]` band via the
-    /// clustered index.
-    fn incremental_step(&mut self) {
-        let clock = self.clock();
-        let t0 = clock.now_ns();
-        self.fold_watermarks();
-        let (lw, hw) = (self.wm.low(), self.wm.high());
-        // 1. collect the qualifying rids from the index (leaf walk)
-        let mut rids: Vec<Rid> = Vec::new();
-        self.btree.scan_from(&mut self.pool, eps_key(hw, 0), |k, v| {
-            if key_eps(k.0) < lw {
-                return false;
-            }
-            rids.push(Rid::from_u64(v));
-            true
-        });
-        // 2. reclassify them; the sorted segment's rids are physically
-        //    consecutive, so this is (buffered) sequential I/O. The
-        //    classification runs on tuple bytes borrowed from the page —
-        //    nothing is materialized — and a flipped label is patched as a
-        //    single byte instead of re-encoding the tuple.
-        let model = self.trainer.model().clone();
-        for rid in rids {
-            let Ok((old, new)) = self.heap.get(&mut self.pool, rid, |bytes| {
-                let t = decode_tuple_ref(bytes).expect("well-formed tuple");
-                charge_classify(&clock, &t.f);
-                (t.label, model.predict(&t.f))
-            }) else {
-                // stale index entry for a removed entity — skip; the next
-                // reorganization rebuilds the tree from the live heap
-                continue;
-            };
-            self.stats.tuples_reclassified += 1;
-            self.stats.tuples_examined += 1;
-            if new != old {
-                self.heap
-                    .patch_in_place(&mut self.pool, rid, TUPLE_LABEL_OFFSET, &[new as u8])
-                    .expect("label byte is in range");
-                self.stats.labels_changed += 1;
-            }
-        }
-        self.pool.flush_all();
-        self.skiing.add_cost((clock.now_ns() - t0) as f64);
-    }
-
-    /// Shared All-Members walk; returns `(positives, examined)`.
-    fn scan_positive(&mut self, mut collect: Option<&mut Vec<u64>>) -> (u64, u64) {
-        let clock = self.clock();
-        let lazy = self.mode == Mode::Lazy;
-        if lazy {
-            if self.skiing.should_reorganize() {
-                self.reorganize_inner();
-            }
-            self.fold_watermarks();
-        }
-        let t0 = clock.now_ns();
-        let (lw, hw) = (self.wm.low(), self.wm.high());
-        let model = self.trainer.model().clone();
-        let mut positives = 0u64;
-        let mut examined = 0u64;
-        let mut sorted_seen = 0u64;
-        let n_sorted = self.n_sorted;
-        {
-            let stats = &mut self.stats;
-            let mut visit = |bytes: &[u8]| -> bool {
-                let (_, label, eps) = decode_tuple_header(bytes).expect("well-formed tuple");
-                if !lazy {
-                    clock.charge_cpu_ops(1);
-                    label > 0
-                } else if eps >= hw {
-                    clock.charge_cpu_ops(1);
-                    true
-                } else if eps <= lw {
-                    clock.charge_cpu_ops(1);
-                    false
-                } else {
-                    // uncertain band: classify straight off the page bytes
-                    let t = decode_tuple_ref(bytes).expect("well-formed tuple");
-                    charge_classify(&clock, &t.f);
-                    stats.tuples_reclassified += 1;
-                    model.predict(&t.f) > 0
-                }
-            };
-            // sorted segment: descending eps, so stop at the low watermark
-            // (everything below is certainly negative); the tail is visited
-            // separately below, so stop at the segment boundary regardless
-            self.heap.scan(&mut self.pool, |_, bytes| {
-                if sorted_seen >= n_sorted {
-                    return false; // reached the tail region
-                }
-                sorted_seen += 1;
-                let (_, _, eps) = decode_tuple_header(bytes).expect("well-formed tuple");
-                if eps < lw {
-                    return false;
-                }
-                examined += 1;
-                if visit(bytes) {
-                    positives += 1;
-                    if let Some(ids) = collect.as_deref_mut() {
-                        let (id, ..) = decode_tuple_header(bytes).expect("well-formed tuple");
-                        ids.push(id);
-                    }
-                }
-                true
-            });
-            // tail tuples (inserted since the reorg) are unordered: visit all
-            if let Some(first) = self.first_tail_rid {
-                self.heap.scan_from(&mut self.pool, first, |_, bytes| {
-                    examined += 1;
-                    if visit(bytes) {
-                        positives += 1;
-                        if let Some(ids) = collect.as_deref_mut() {
-                            let (id, ..) = decode_tuple_header(bytes).expect("well-formed tuple");
-                            ids.push(id);
-                        }
-                    }
-                    true
-                });
-            }
-        }
-        self.stats.tuples_examined += examined;
-        if lazy && examined > 0 {
-            let elapsed = (clock.now_ns() - t0) as f64;
-            let waste = (examined - positives) as f64 / examined as f64 * elapsed;
-            self.skiing.add_cost(waste);
-        }
-        (positives, examined)
-    }
-}
-
-impl Durable for HazyDiskView {
-    fn save_state(&self, out: &mut Vec<u8>) {
-        out.push(tag::HAZY_DISK);
-        out.push(self.mode.tag());
-        self.trainer.save_state(out);
-        self.stats.save_state(out);
-        out.push(self.pair.p.tag());
-        out.push(self.pair.q.tag());
-        out.push(self.policy.tag());
-        out.extend_from_slice(&self.m_norm.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.n_sorted.to_le_bytes());
-        out.extend_from_slice(&self.rounds_at_reorg.to_le_bytes());
-        out.extend_from_slice(&self.reorg_epoch.to_le_bytes());
-        out.extend_from_slice(
-            &self.first_tail_rid.map_or(u64::MAX, Rid::to_u64).to_le_bytes(),
-        );
-        self.wm.save_state(out);
-        self.tracker.save_state(out);
-        self.skiing.save_state(out);
-        self.pool.disk().save_state(out);
-        self.pool.save_state(out);
-        self.heap.save_state(out);
-        self.btree.save_state(out);
-        self.hash.save_state(out);
-    }
-}
-
-impl ClassifierView for HazyDiskView {
-    fn describe(&self) -> String {
-        format!("hazy-od ({})", self.mode.name())
-    }
-
-    fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    fn update(&mut self, ex: &TrainingExample) {
-        self.update_batch(std::slice::from_ref(ex));
-    }
-
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
-        if batch.is_empty() {
-            return;
-        }
-        // one statement's overhead and one maintenance round for the whole
-        // batch: page pins for the band walk are paid once instead of once
-        // per example (the accumulated watermark band covers every label
-        // any intermediate model round could have flipped)
-        let clock = self.clock();
-        clock.charge_ns(self.overheads.update_ns);
-        for ex in batch {
-            charge_classify(&clock, &ex.f);
-            let info = self.trainer.step(&ex.f, ex.y);
-            self.tracker.apply(&info, &ex.f);
-            self.stats.updates += 1;
-        }
-        if self.mode == Mode::Eager {
-            if self.skiing.should_reorganize() {
-                self.reorganize_inner();
-            } else {
-                self.incremental_step();
-            }
-        }
-    }
-
-    fn reorganize(&mut self) {
-        self.reorganize_inner();
-    }
-
-    fn read_single(&mut self, id: u64) -> Option<Label> {
-        let clock = self.clock();
-        clock.charge_ns(self.overheads.read_ns);
-        self.stats.single_reads += 1;
-        self.read_single_inner(id)
-    }
-
-    fn entity_count(&self) -> u64 {
-        self.heap.len()
-    }
-
-    fn count_positive(&mut self) -> u64 {
-        self.clock().charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        self.scan_positive(None).0
-    }
-
-    fn positive_ids(&mut self) -> Vec<u64> {
-        self.clock().charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        let mut ids = Vec::new();
-        self.scan_positive(Some(&mut ids));
-        ids
-    }
-
-    fn top_k(&mut self, k: usize) -> Vec<(u64, f64)> {
-        let clock = self.clock();
-        clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        // exact margins are needed, so the clustered eps keys (stale by up
-        // to the watermark band) cannot prune: one sequential pass over the
-        // whole heap — sorted segment and tail alike — scoring off borrowed
-        // page bytes
-        let model = self.trainer.model().clone();
-        let mut scored = Vec::new();
-        let mut examined = 0u64;
-        self.heap.scan(&mut self.pool, |_, bytes| {
-            examined += 1;
-            let t = decode_tuple_ref(bytes).expect("well-formed tuple");
-            charge_classify(&clock, &t.f);
-            scored.push((t.id, model.margin(&t.f)));
-            true
-        });
-        self.stats.tuples_examined += examined;
-        crate::view::take_top_k(scored, k, &clock)
-    }
-
-    fn insert_entity(&mut self, e: Entity) {
-        let clock = self.clock();
-        charge_classify(&clock, &e.f);
-        let eps = self.wm.stored_model().margin(&e.f);
-        self.m_norm = self.m_norm.max(e.f.norm(self.pair.q));
-        self.wm.raise_m(self.m_norm);
-        let label = match self.mode {
-            Mode::Eager => {
-                charge_classify(&clock, &e.f);
-                self.trainer.model().predict(&e.f)
-            }
-            Mode::Lazy => sign(eps),
-        };
-        let id = e.id;
-        self.scratch.clear();
-        encode_tuple(&HTuple { id, label, eps, f: e.f }, &mut self.scratch);
-        let rid = self.heap.append(&mut self.pool, &self.scratch).expect("tuple fits a page");
-        if self.first_tail_rid.is_none() {
-            self.first_tail_rid = Some(rid);
-        }
-        // upsert: a removed entity leaves its stale key in the tree (no
-        // delete path); re-inserting the same id at the same eps must
-        // redirect that key at the live record
-        self.btree.upsert(&mut self.pool, eps_key(eps, id), rid.to_u64());
-        self.hash.insert(&mut self.pool, id, rid.to_u64()).expect("unique entity ids");
-    }
-
-    fn remove_entity(&mut self, id: u64) -> bool {
-        let Some(raw) = self.hash.get(&mut self.pool, id) else {
-            return false;
-        };
-        let rid = Rid::from_u64(raw);
-        // tombstone the record and drop the hash entry; the B+-tree keeps a
-        // stale entry (it has no delete path) — every consumer of index
-        // rids tolerates dead records, and the next reorganization rebuilds
-        // the tree from the live heap. Slots are never reused, so the dead
-        // rid can never alias a later record.
-        self.heap.delete(&mut self.pool, rid).expect("indexed rid resolves");
-        self.hash.remove(&mut self.pool, id).expect("indexed key removes");
-        if self.first_tail_rid.is_none_or(|t| rid < t) {
-            // the record sat in the ε-sorted segment: the All-Members walk
-            // counts *live* sorted records, so the boundary moves up by one
-            self.n_sorted -= 1;
-        }
-        self.pool.flush_all();
-        true
-    }
-
-    fn model(&self) -> &LinearModel {
-        self.trainer.model()
-    }
-
-    fn stats(&self) -> ViewStats {
-        let mut s = self.stats;
-        s.reorgs = self.skiing.reorgs();
-        s
-    }
-
-    fn memory(&self) -> MemoryFootprint {
-        MemoryFootprint {
-            entities_bytes: 0,
-            eps_map_bytes: 0,
-            buffer_bytes: 0,
-            model_bytes: self.trainer.model().mem_bytes(),
-        }
-    }
-
-    fn clock(&self) -> &VirtualClock {
-        self.pool.disk().clock()
-    }
-
-    fn snapshot_state(&mut self) -> Option<(Vec<Entity>, LinearModel)> {
-        // a sequential heap scan (charged through the pool) copies the
-        // population out; the view lives on
-        Some((
-            crate::migrate::evacuate_heap(&self.heap, &mut self.pool),
-            self.trainer.model().clone(),
-        ))
-    }
-
-    fn export_migration(&mut self) -> Option<crate::MigrationState> {
-        // clustering order is irrelevant: the target re-organizes from
-        // scratch
-        Some(crate::MigrationState {
-            entities: crate::migrate::evacuate_heap(&self.heap, &mut self.pool),
-            trainer: self.trainer.clone(),
-            carry: crate::MigrationCarry {
-                skiing: Some(self.skiing.clone()),
-                stats: self.stats(),
-            },
-        })
-    }
-
-    fn adopt_migration_carry(&mut self, carry: &crate::MigrationCarry) {
-        // construction already ran the initial organization: continue the
-        // source's counters, keeping the rebuild as the most recent reorg
-        let built_reorg_ns = self.stats.last_reorg_ns;
-        self.stats = carry.stats;
-        self.stats.last_reorg_ns = built_reorg_ns;
-        self.stats.migrations += 1;
-        match &carry.skiing {
-            Some(prior) => self.skiing.carry_from(prior),
-            // naive source: no controller to carry, but the lifetime
-            // reorganization count still continues (stats() reads it off
-            // the controller for hazy architectures)
-            None => self.skiing.carry_reorg_count(carry.stats.reorgs),
-        }
+        self.store.scan_all(|row| f(row.id(), row.label(), row.eps()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hazy_learn::SgdConfig;
-    use hazy_linalg::FeatureVec;
-    use hazy_storage::{CostModel, SimDisk};
+    use crate::{ClassifierView, Entity, Mode, OpOverheads, WatermarkPolicy};
+    use hazy_learn::{SgdConfig, SgdTrainer, TrainingExample};
+    use hazy_linalg::{FeatureVec, NormPair};
+    use hazy_storage::{BufferPool, CostModel, SimDisk, VirtualClock};
 
     fn entities(n: usize) -> Vec<Entity> {
         (0..n)
@@ -905,7 +190,7 @@ mod tests {
         // the clustered index still agrees with a physical scan
         let (lw, hw) = v.waterband();
         let mut by_scan = 0u64;
-        v.for_each_tuple(|t| {
+        v.for_each_tuple_ref(|t| {
             if t.eps >= lw && t.eps <= hw {
                 by_scan += 1;
             }
@@ -921,7 +206,7 @@ mod tests {
         }
         let (lw, hw) = v.waterband();
         let mut by_scan = 0u64;
-        v.for_each_tuple(|t| {
+        v.for_each_tuple_ref(|t| {
             if t.eps >= lw && t.eps <= hw {
                 by_scan += 1;
             }

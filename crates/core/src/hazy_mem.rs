@@ -1,631 +1,21 @@
-//! Hazy's main-memory architecture (Section 3.5.1).
-//!
-//! The same clustering-plus-Skiing machinery as the on-disk design, over an
-//! in-memory vector sorted by `eps` descending. Because classification
-//! output is a pure function of examples + entities, nothing here needs to
-//! be persistent — on memory pressure the structure can simply be dropped
-//! and recomputed, which is why the paper calls main memory "safe" for this
-//! view.
+//! Hazy's main-memory architecture (Section 3.5.1): the same
+//! clustering-plus-Skiing machinery as the on-disk design — [`HazyView`] —
+//! over the in-memory [`MemStore`].
 
-use std::cmp::Ordering;
-use std::collections::HashMap;
-
-use hazy_learn::{sign, Label, LinearModel, SgdTrainer, TrainingExample};
-use hazy_linalg::{decode_fvec, encode_fvec, wire, FeatureVec, Norm, NormPair};
-use hazy_storage::VirtualClock;
-
-use crate::cost::{charge_classify, OpOverheads};
-use crate::durable::{tag, Durable};
-use crate::entity::Entity;
-use crate::merge::merge_sorted_tail;
-use crate::migrate::{MigrationCarry, MigrationState};
-use crate::skiing::Skiing;
-use crate::stats::{MemoryFootprint, ViewStats};
-use crate::view::{ClassifierView, Mode};
-use crate::watermark::{DeltaTracker, WaterMarks, WatermarkPolicy};
-
-struct MemTuple {
-    id: u64,
-    /// Margin under the stored model (the cluster key).
-    eps: f64,
-    /// Materialized label (current in eager mode; reorg-time snapshot in
-    /// lazy mode, never trusted by lazy reads).
-    label: Label,
-    f: FeatureVec,
-}
-
-/// The clustering order: eps descending, ids breaking ties.
-fn tuple_cmp(a: &MemTuple, b: &MemTuple) -> Ordering {
-    b.eps.total_cmp(&a.eps).then(a.id.cmp(&b.id))
-}
-
-/// `a` may precede `b` under [`tuple_cmp`] (the merge predicate).
-fn tuple_le(a: &MemTuple, b: &MemTuple) -> bool {
-    tuple_cmp(a, b) != Ordering::Greater
-}
+use crate::hazy::HazyView;
+use crate::mem_store::MemStore;
 
 /// Hazy main-memory view (`Hazy-MM`).
-pub struct HazyMemView {
-    mode: Mode,
-    clock: VirtualClock,
-    overheads: OpOverheads,
-    trainer: SgdTrainer,
-    /// `[0, sorted_len)` is sorted by eps descending; the rest is the
-    /// unsorted tail of entities inserted since the last reorganization.
-    data: Vec<MemTuple>,
-    sorted_len: usize,
-    /// Trainer rounds at the last reorganization; when the model has not
-    /// advanced since, the sorted run's eps keys are still exact and a
-    /// reorganization reduces to folding the tail in by merge.
-    rounds_at_reorg: u64,
-    idmap: HashMap<u64, u32>,
-    wm: WaterMarks,
-    tracker: DeltaTracker,
-    skiing: Skiing,
-    pair: NormPair,
-    policy: WatermarkPolicy,
-    m_norm: f64,
-    stats: ViewStats,
-}
-
-impl HazyMemView {
-    /// Builds the view and performs the initial organization (which also
-    /// measures the first `S` for Skiing).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        entities: Vec<Entity>,
-        trainer: SgdTrainer,
-        clock: VirtualClock,
-        overheads: OpOverheads,
-        mode: Mode,
-        pair: NormPair,
-        policy: WatermarkPolicy,
-        alpha: f64,
-    ) -> HazyMemView {
-        let m_norm = entities.iter().map(|e| e.f.norm(pair.q)).fold(0.0f64, f64::max);
-        let data: Vec<MemTuple> = entities
-            .into_iter()
-            .map(|e| MemTuple { id: e.id, eps: 0.0, label: 1, f: e.f })
-            .collect();
-        let wm = WaterMarks::new(trainer.model().clone(), pair, m_norm, policy);
-        let tracker = DeltaTracker::new(trainer.model(), pair.p);
-        let mut view = HazyMemView {
-            mode,
-            clock,
-            overheads,
-            trainer,
-            data,
-            sorted_len: 0,
-            // sentinel: entities start unkeyed (eps = 0), so the first
-            // organization must always take the full re-keying path
-            rounds_at_reorg: u64::MAX,
-            idmap: HashMap::new(),
-            wm,
-            tracker,
-            skiing: Skiing::new(alpha, 0.0),
-            pair,
-            policy,
-            m_norm,
-            stats: ViewStats::default(),
-        };
-        view.reorganize_inner();
-        view
-    }
-
-    /// Inverse of this view's [`Durable::save_state`] (tag byte already
-    /// consumed). The id map is rebuilt from the tuple order.
-    pub(crate) fn restore_state(
-        b: &mut &[u8],
-        clock: VirtualClock,
-        overheads: OpOverheads,
-    ) -> Option<HazyMemView> {
-        let mode = Mode::from_tag(wire::take_u8(b)?)?;
-        let trainer = SgdTrainer::restore_state(b)?;
-        let stats = ViewStats::restore_state(b)?;
-        let p = Norm::from_tag(wire::take_u8(b)?)?;
-        let q = Norm::from_tag(wire::take_u8(b)?)?;
-        let policy = WatermarkPolicy::from_tag(wire::take_u8(b)?)?;
-        let m_norm = wire::take_f64(b)?;
-        let sorted_len = wire::take_u64(b)? as usize;
-        let rounds_at_reorg = wire::take_u64(b)?;
-        let wm = WaterMarks::restore_state(b)?;
-        let tracker = DeltaTracker::restore_state(b)?;
-        let skiing = Skiing::restore_state(b)?;
-        let n = wire::take_u64(b)? as usize;
-        if sorted_len > n {
-            return None;
-        }
-        let mut data = Vec::with_capacity(n);
-        let mut idmap = HashMap::with_capacity(n);
-        for i in 0..n {
-            let id = wire::take_u64(b)?;
-            let eps = wire::take_f64(b)?;
-            let label = wire::take_u8(b)? as i8;
-            if label != 1 && label != -1 {
-                return None;
-            }
-            let f = decode_fvec(b)?;
-            idmap.insert(id, i as u32);
-            data.push(MemTuple { id, eps, label, f });
-        }
-        Some(HazyMemView {
-            mode,
-            clock,
-            overheads,
-            trainer,
-            data,
-            sorted_len,
-            rounds_at_reorg,
-            idmap,
-            wm,
-            tracker,
-            skiing,
-            pair: NormPair { p, q },
-            policy,
-            m_norm,
-            stats,
-        })
-    }
-
-    /// Current `[lw, hw]` band (Figure 13's y-axis needs the count below).
-    pub fn waterband(&self) -> (f64, f64) {
-        (self.wm.low(), self.wm.high())
-    }
-
-    /// Number of tuples whose `eps` lies inside the current band — the
-    /// quantity Figure 13 plots against update count.
-    pub fn tuples_in_band(&self) -> u64 {
-        let (lw, hw) = self.waterband();
-        let (start, end) = self.band_range(lw, hw);
-        let tail = self.data[self.sorted_len..]
-            .iter()
-            .filter(|t| t.eps >= lw && t.eps <= hw)
-            .count();
-        (end - start + tail) as u64
-    }
-
-    /// Access to the Skiing controller (ablation benches).
-    pub fn skiing(&self) -> &Skiing {
-        &self.skiing
-    }
-
-    /// Shared-reference single-entity read for concurrent readers (the
-    /// Figure 11(B) scale-up experiment). Safe while no updates run
-    /// concurrently: eager mode reads the materialized label; lazy mode uses
-    /// the *current* watermark band without folding the model round in, so
-    /// callers must invoke [`ClassifierView::read_single`] (or any other
-    /// `&mut` operation) once after the last update to fold watermarks.
-    ///
-    /// The paper's observation that "locking protocols are trivial for
-    /// Single Entity reads" is exactly this: the read path is pure.
-    pub fn read_single_shared(&self, id: u64) -> Option<Label> {
-        self.clock.charge_ns(self.overheads.read_ns);
-        let idx = *self.idmap.get(&id)? as usize;
-        let t = &self.data[idx];
-        match self.mode {
-            Mode::Eager => Some(t.label),
-            Mode::Lazy => {
-                if let Some(l) = self.wm.certain_label(t.eps) {
-                    self.clock.charge_cpu_ops(1);
-                    Some(l)
-                } else {
-                    charge_classify(&self.clock, &t.f);
-                    Some(self.trainer.model().predict(&t.f))
-                }
-            }
-        }
-    }
-
-    /// Indices `[start, end)` of the sorted segment intersecting `[lw, hw]`.
-    fn band_range(&self, lw: f64, hw: f64) -> (usize, usize) {
-        let seg = &self.data[..self.sorted_len];
-        let start = seg.partition_point(|t| t.eps > hw);
-        let end = seg.partition_point(|t| t.eps >= lw);
-        (start, end)
-    }
-
-    /// Reorganization. Three regimes, cheapest applicable wins:
-    ///
-    /// 1. **Free** — the model has not advanced since the last
-    ///    reorganization and no tail exists: every key is exact and in
-    ///    place, so there is nothing to fold in and nothing is charged.
-    /// 2. **Incremental merge** — the keys of the sorted run are still
-    ///    valid (model unchanged, inserts only; or re-keying under the new
-    ///    model happened to preserve the run's order): sort the tail of `t`
-    ///    entries and fold it in with one merge pass — O(t log t + n)
-    ///    charged as `charge_sort(t) + charge_merge(n)`.
-    /// 3. **Full** — the model moved enough to scramble the run: re-key
-    ///    everything and pay the full `charge_sort(n)`.
-    fn reorganize_inner(&mut self) {
-        let t0 = self.clock.now_ns();
-        let model = self.trainer.model().clone();
-        let n = self.data.len();
-        let tail_len = n - self.sorted_len;
-        let model_clean = self.rounds_at_reorg == self.trainer.steps();
-        if model_clean && tail_len == 0 {
-            // regime 1: nothing to fold in — reorganization is free
-        } else {
-            let mergeable = if model_clean {
-                // tail entities were keyed under the stored model at insert
-                // time; the sorted run is untouched — no re-keying at all
-                true
-            } else {
-                for t in &mut self.data {
-                    charge_classify(&self.clock, &t.f);
-                    t.eps = model.margin(&t.f);
-                    t.label = sign(t.eps);
-                }
-                // O(n) probe: did re-keying preserve the run's order?
-                self.clock.charge_cpu_ops(self.sorted_len as u64);
-                self.data[..self.sorted_len].is_sorted_by(tuple_le)
-            };
-            if mergeable {
-                // regime 2: sort-tail-then-merge
-                self.clock.charge_sort(tail_len as u64);
-                self.data[self.sorted_len..].sort_unstable_by(tuple_cmp);
-                // with a single run (empty prefix or empty tail) the merge
-                // is a no-op — charge only when two runs actually fold
-                if self.sorted_len > 0 && tail_len > 0 {
-                    self.clock.charge_merge(n as u64);
-                    merge_sorted_tail(&mut self.data, self.sorted_len, tuple_le);
-                }
-            } else {
-                // regime 3: full resort
-                self.clock.charge_sort(n as u64);
-                self.data.sort_unstable_by(tuple_cmp);
-            }
-            self.clock.charge_cpu_ops(n as u64);
-            self.idmap.clear();
-            for (i, t) in self.data.iter().enumerate() {
-                self.idmap.insert(t.id, i as u32);
-            }
-        }
-        self.sorted_len = n;
-        self.wm = WaterMarks::new(model.clone(), self.pair, self.m_norm, self.policy);
-        self.tracker = DeltaTracker::new(&model, self.pair.p);
-        self.rounds_at_reorg = self.trainer.steps();
-        let s = (self.clock.now_ns() - t0) as f64;
-        self.skiing.reorganized(s);
-        self.stats.reorgs += 1;
-        self.stats.last_reorg_ns = s as u64;
-        crate::stats::obs_reorg(s as u64);
-    }
-
-    /// Eager incremental step: reclassify exactly the `[lw, hw]` band under
-    /// the current model.
-    fn incremental_step(&mut self) {
-        let t0 = self.clock.now_ns();
-        self.wm.observe_bounded(self.tracker.bound(), self.trainer.model().b);
-        let (lw, hw) = (self.wm.low(), self.wm.high());
-        let (start, end) = self.band_range(lw, hw);
-        self.clock.charge_cpu_ops(2 * (usize::BITS - self.sorted_len.leading_zeros()) as u64);
-        let model = self.trainer.model().clone();
-        for idx in start..end {
-            let t = &mut self.data[idx];
-            charge_classify(&self.clock, &t.f);
-            let l = model.predict(&t.f);
-            self.stats.tuples_reclassified += 1;
-            if l != t.label {
-                t.label = l;
-                self.stats.labels_changed += 1;
-            }
-        }
-        self.stats.tuples_examined += (end - start) as u64;
-        // unsorted tail: check every tuple's eps against the band
-        for idx in self.sorted_len..self.data.len() {
-            self.clock.charge_cpu_ops(1);
-            let eps = self.data[idx].eps;
-            if eps >= lw && eps <= hw {
-                let t = &mut self.data[idx];
-                charge_classify(&self.clock, &t.f);
-                let l = model.predict(&t.f);
-                self.stats.tuples_reclassified += 1;
-                if l != t.label {
-                    t.label = l;
-                    self.stats.labels_changed += 1;
-                }
-                self.stats.tuples_examined += 1;
-            }
-        }
-        self.skiing.add_cost((self.clock.now_ns() - t0) as f64);
-    }
-
-    /// Shared lazy/eager All-Members walk; returns `(positives, examined)`
-    /// and optionally collects ids.
-    fn scan_positive(&mut self, mut collect: Option<&mut Vec<u64>>) -> (u64, u64) {
-        let lazy = self.mode == Mode::Lazy;
-        if lazy {
-            // a lazy read may first trigger the postponed reorganization
-            if self.skiing.should_reorganize() {
-                self.reorganize_inner();
-            }
-            self.wm.observe_bounded(self.tracker.bound(), self.trainer.model().b);
-        }
-        let t0 = self.clock.now_ns();
-        let (lw, hw) = (self.wm.low(), self.wm.high());
-        let model = self.trainer.model().clone();
-        let mut positives = 0u64;
-        let mut examined = 0u64;
-        let visit = |t: &MemTuple, clock: &VirtualClock, stats: &mut ViewStats| -> bool {
-            
-            if !lazy {
-                clock.charge_cpu_ops(1);
-                t.label > 0
-            } else if t.eps >= hw {
-                clock.charge_cpu_ops(1);
-                true
-            } else if t.eps <= lw {
-                clock.charge_cpu_ops(1);
-                false
-            } else {
-                charge_classify(clock, &t.f);
-                stats.tuples_reclassified += 1;
-                model.predict(&t.f) > 0
-            }
-        };
-        for idx in 0..self.sorted_len {
-            let t = &self.data[idx];
-            if t.eps < lw {
-                // everything below low water is certainly negative: stop
-                break;
-            }
-            examined += 1;
-            if visit(t, &self.clock, &mut self.stats) {
-                positives += 1;
-                if let Some(ids) = collect.as_deref_mut() {
-                    ids.push(t.id);
-                }
-            }
-        }
-        for t in &self.data[self.sorted_len..] {
-            examined += 1;
-            if visit(t, &self.clock, &mut self.stats) {
-                positives += 1;
-                if let Some(ids) = collect.as_deref_mut() {
-                    ids.push(t.id);
-                }
-            }
-        }
-        self.stats.tuples_examined += examined;
-        if lazy && examined > 0 {
-            // Section 3.4: the wasted fraction of this read is the cost the
-            // Skiing strategy accumulates
-            let elapsed = (self.clock.now_ns() - t0) as f64;
-            let waste = (examined - positives) as f64 / examined as f64 * elapsed;
-            self.skiing.add_cost(waste);
-        }
-        (positives, examined)
-    }
-}
-
-impl Durable for HazyMemView {
-    fn save_state(&self, out: &mut Vec<u8>) {
-        out.push(tag::HAZY_MEM);
-        out.push(self.mode.tag());
-        self.trainer.save_state(out);
-        self.stats.save_state(out);
-        out.push(self.pair.p.tag());
-        out.push(self.pair.q.tag());
-        out.push(self.policy.tag());
-        out.extend_from_slice(&self.m_norm.to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.sorted_len as u64).to_le_bytes());
-        out.extend_from_slice(&self.rounds_at_reorg.to_le_bytes());
-        self.wm.save_state(out);
-        self.tracker.save_state(out);
-        self.skiing.save_state(out);
-        out.extend_from_slice(&(self.data.len() as u64).to_le_bytes());
-        for t in &self.data {
-            out.extend_from_slice(&t.id.to_le_bytes());
-            out.extend_from_slice(&t.eps.to_bits().to_le_bytes());
-            out.push(t.label as u8);
-            encode_fvec(&t.f, out);
-        }
-    }
-}
-
-impl ClassifierView for HazyMemView {
-    fn describe(&self) -> String {
-        format!("hazy-mm ({})", self.mode.name())
-    }
-
-    fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    fn update(&mut self, ex: &TrainingExample) {
-        self.update_batch(std::slice::from_ref(ex));
-    }
-
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
-        if batch.is_empty() {
-            return;
-        }
-        // one statement's overhead, k SGD rounds, then a single maintenance
-        // decision: the watermark band after the k rounds covers every
-        // label any intermediate model could have flipped
-        self.clock.charge_ns(self.overheads.update_ns);
-        for ex in batch {
-            charge_classify(&self.clock, &ex.f);
-            let info = self.trainer.step(&ex.f, ex.y);
-            self.tracker.apply(&info, &ex.f);
-            self.stats.updates += 1;
-        }
-        if self.mode == Mode::Eager {
-            // Figure 7: reorganize when the accumulated waste has reached
-            // α·S, otherwise take the incremental step
-            if self.skiing.should_reorganize() {
-                self.reorganize_inner();
-            } else {
-                self.incremental_step();
-            }
-        }
-    }
-
-    fn reorganize(&mut self) {
-        self.reorganize_inner();
-    }
-
-    fn read_single(&mut self, id: u64) -> Option<Label> {
-        self.clock.charge_ns(self.overheads.read_ns);
-        self.stats.single_reads += 1;
-        let idx = *self.idmap.get(&id)? as usize;
-        match self.mode {
-            Mode::Eager => Some(self.data[idx].label),
-            Mode::Lazy => {
-                self.wm.observe_bounded(self.tracker.bound(), self.trainer.model().b);
-                let t = &self.data[idx];
-                if let Some(l) = self.wm.certain_label(t.eps) {
-                    self.clock.charge_cpu_ops(1);
-                    Some(l)
-                } else {
-                    charge_classify(&self.clock, &t.f);
-                    Some(self.trainer.model().predict(&t.f))
-                }
-            }
-        }
-    }
-
-    fn entity_count(&self) -> u64 {
-        self.data.len() as u64
-    }
-
-    fn count_positive(&mut self) -> u64 {
-        self.clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        self.scan_positive(None).0
-    }
-
-    fn positive_ids(&mut self) -> Vec<u64> {
-        self.clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        let mut ids = Vec::new();
-        self.scan_positive(Some(&mut ids));
-        ids
-    }
-
-    fn top_k(&mut self, k: usize) -> Vec<(u64, f64)> {
-        self.clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        self.stats.tuples_examined += self.data.len() as u64;
-        // ranked reads need exact margins, so the stored eps keys (stale by
-        // up to the watermark band) cannot prune: score everything under the
-        // current model
-        let model = self.trainer.model();
-        let mut scored = Vec::with_capacity(self.data.len());
-        for t in &self.data {
-            charge_classify(&self.clock, &t.f);
-            scored.push((t.id, model.margin(&t.f)));
-        }
-        crate::view::take_top_k(scored, k, &self.clock)
-    }
-
-    fn insert_entity(&mut self, e: Entity) {
-        charge_classify(&self.clock, &e.f);
-        let eps = self.wm.stored_model().margin(&e.f);
-        self.m_norm = self.m_norm.max(e.f.norm(self.pair.q));
-        self.wm.raise_m(self.m_norm);
-        let label = match self.mode {
-            Mode::Eager => {
-                charge_classify(&self.clock, &e.f);
-                self.trainer.model().predict(&e.f)
-            }
-            Mode::Lazy => sign(eps),
-        };
-        self.idmap.insert(e.id, self.data.len() as u32);
-        self.data.push(MemTuple { id: e.id, eps, label, f: e.f });
-    }
-
-    fn remove_entity(&mut self, id: u64) -> bool {
-        let Some(idx) = self.idmap.remove(&id) else {
-            return false;
-        };
-        let idx = idx as usize;
-        // order-preserving removal: the sorted run stays sorted and the
-        // unsorted tail keeps its insertion order
-        self.data.remove(idx);
-        if idx < self.sorted_len {
-            self.sorted_len -= 1;
-        }
-        for v in self.idmap.values_mut() {
-            if *v > idx as u32 {
-                *v -= 1;
-            }
-        }
-        // m_norm stays a valid (possibly loose) upper bound for watermarks
-        self.clock.charge_cpu_ops(self.data.len() as u64);
-        true
-    }
-
-    fn model(&self) -> &LinearModel {
-        self.trainer.model()
-    }
-
-    fn stats(&self) -> ViewStats {
-        let mut s = self.stats;
-        s.reorgs = self.skiing.reorgs();
-        s
-    }
-
-    fn memory(&self) -> MemoryFootprint {
-        MemoryFootprint {
-            entities_bytes: self
-                .data
-                .iter()
-                .map(|t| 8 + 8 + 1 + t.f.mem_bytes())
-                .sum::<usize>(),
-            eps_map_bytes: 0,
-            buffer_bytes: 0,
-            model_bytes: self.trainer.model().mem_bytes(),
-        }
-    }
-
-    fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
-    fn snapshot_state(&mut self) -> Option<(Vec<Entity>, LinearModel)> {
-        // one in-memory pass copies the population out; the view lives on
-        self.clock.charge_cpu_ops(self.data.len() as u64);
-        let entities = self.data.iter().map(|t| Entity::new(t.id, t.f.clone())).collect();
-        Some((entities, self.trainer.model().clone()))
-    }
-
-    fn export_migration(&mut self) -> Option<MigrationState> {
-        // one in-memory pass copies the population out (physical order is
-        // irrelevant — the target performs its own initial organization)
-        self.clock.charge_cpu_ops(self.data.len() as u64);
-        let entities =
-            self.data.iter().map(|t| Entity::new(t.id, t.f.clone())).collect();
-        Some(MigrationState {
-            entities,
-            trainer: self.trainer.clone(),
-            carry: MigrationCarry { skiing: Some(self.skiing.clone()), stats: self.stats() },
-        })
-    }
-
-    fn adopt_migration_carry(&mut self, carry: &MigrationCarry) {
-        // construction already ran the initial organization (stats holds
-        // its reorg accounting; skiing holds its measured S): continue the
-        // source's counters, keeping the rebuild as the most recent reorg
-        let built_reorg_ns = self.stats.last_reorg_ns;
-        self.stats = carry.stats;
-        self.stats.last_reorg_ns = built_reorg_ns;
-        self.stats.migrations += 1;
-        match &carry.skiing {
-            Some(prior) => self.skiing.carry_from(prior),
-            // naive source: no controller to carry, but the lifetime
-            // reorganization count still continues (stats() reads it off
-            // the controller for hazy architectures)
-            None => self.skiing.carry_reorg_count(carry.stats.reorgs),
-        }
-    }
-}
+pub type HazyMemView = HazyView<MemStore>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hazy_learn::SgdConfig;
-    use hazy_storage::CostModel;
+    use crate::store::{tuple_le, Store};
+    use crate::{ClassifierView, Entity, Mode, OpOverheads, WatermarkPolicy};
+    use hazy_learn::{SgdConfig, SgdTrainer, TrainingExample};
+    use hazy_linalg::{FeatureVec, NormPair};
+    use hazy_storage::{CostModel, VirtualClock};
 
     fn entities(n: usize) -> Vec<Entity> {
         (0..n)
@@ -785,7 +175,7 @@ mod tests {
             let x = (k % 9) as f32 / 9.0 - 0.5;
             v.insert_entity(Entity::new(10_000 + k, FeatureVec::dense(vec![x, -x])));
         }
-        let n = v.data.len() as u64;
+        let n = v.entity_count();
         let before = v.clock().now_ns();
         ClassifierView::reorganize(&mut v);
         let charged = v.clock().now_ns() - before;
@@ -797,11 +187,13 @@ mod tests {
             n * logn * v.clock().model().cpu_op_ns
         };
         assert!(charged < full_sort_ns, "merge path charged {charged} ≥ full sort {full_sort_ns}");
+        let mut data = Vec::new();
+        v.store.scan_all(|t| data.push(t.clone()));
         assert!(
-            v.data.windows(2).all(|w| tuple_le(&w[0], &w[1])),
+            data.windows(2).all(|w| tuple_le(&w[0], &w[1])),
             "merge left the run unsorted"
         );
-        assert_eq!(v.sorted_len, v.data.len());
+        assert!(!v.store.has_tail());
         // every entity still reads correctly through the rebuilt idmap
         let model = v.model().clone();
         for k in 0..50u64 {
@@ -820,8 +212,7 @@ mod tests {
         let (lw, hw) = v.waterband();
         let by_filter = (0..200u64)
             .filter_map(|id| {
-                let idx = *v.idmap.get(&id)? as usize;
-                let eps = v.data[idx].eps;
+                let eps = v.store.get(id)?.eps;
                 (eps >= lw && eps <= hw).then_some(())
             })
             .count() as u64;

@@ -26,6 +26,7 @@ use crate::durable::{tag, Durable};
 use crate::entity::Entity;
 use crate::hazy_disk::HazyDiskView;
 use crate::stats::{MemoryFootprint, ViewStats};
+use crate::store::take_count;
 use crate::view::{ClassifierView, Mode};
 use crate::watermark::WatermarkPolicy;
 
@@ -110,13 +111,15 @@ impl HybridView {
         let eps_map_prunes = wire::take_u64(b)?;
         let buffer_hits = wire::take_u64(b)?;
         let disk_reads = wire::take_u64(b)?;
-        let n_eps = wire::take_u64(b)? as usize;
+        // each ε-map entry is an id and a float; each buffer entry an id
+        // and at least an empty feature vector
+        let n_eps = take_count(b, 8 + 8)?;
         let mut eps_map = HashMap::with_capacity(n_eps);
         for _ in 0..n_eps {
             let id = wire::take_u64(b)?;
             eps_map.insert(id, wire::take_f64(b)?);
         }
-        let n_buf = wire::take_u64(b)? as usize;
+        let n_buf = take_count(b, 8 + 5)?;
         let mut buffer = HashMap::with_capacity(n_buf);
         for _ in 0..n_buf {
             let id = wire::take_u64(b)?;
@@ -167,11 +170,23 @@ impl HybridView {
         self.rebuild_buffer();
     }
 
-    /// Rebuilds ε-map and buffer from the on-disk state (runs after every
-    /// reorganization — "the Skiing strategy reorganizes the data on disk
-    /// and in memory"). The ε-map needs only `(id, eps)` from each tuple's
-    /// fixed prefix, so this is a header-only scan: O(1) per tuple, no
-    /// feature payload decoded, nothing materialized.
+    /// Runs `op` on the on-disk view, then brings the in-memory structures
+    /// back in step if it reorganized — "the Skiing strategy reorganizes the
+    /// data on disk and in memory". The one sync point: any forwarded
+    /// operation may reorganize (updates by Skiing's rule, lazy reads by
+    /// the postponed one).
+    fn forward<R>(&mut self, op: impl FnOnce(&mut HazyDiskView) -> R) -> R {
+        let out = op(&mut self.inner);
+        if self.inner.reorg_epoch() != self.seen_epoch {
+            self.rebuild_memory();
+        }
+        out
+    }
+
+    /// Rebuilds ε-map and buffer from the on-disk state. The ε-map needs
+    /// only `(id, eps)` from each tuple's fixed prefix, so this is a
+    /// header-only scan: O(1) per tuple, no feature payload decoded,
+    /// nothing materialized.
     fn rebuild_memory(&mut self) {
         let clock = self.inner.clock().clone();
         self.eps_map.clear();
@@ -252,24 +267,15 @@ impl ClassifierView for HybridView {
     }
 
     fn update(&mut self, ex: &TrainingExample) {
-        self.inner.update(ex);
-        if self.inner.reorg_epoch() != self.seen_epoch {
-            self.rebuild_memory();
-        }
+        self.update_batch(std::slice::from_ref(ex));
     }
 
     fn update_batch(&mut self, batch: &[TrainingExample]) {
-        self.inner.update_batch(batch);
-        if self.inner.reorg_epoch() != self.seen_epoch {
-            self.rebuild_memory();
-        }
+        self.forward(|v| v.update_batch(batch));
     }
 
     fn reorganize(&mut self) {
-        self.inner.reorganize_inner();
-        if self.inner.reorg_epoch() != self.seen_epoch {
-            self.rebuild_memory();
-        }
+        self.forward(|v| v.reorganize());
     }
 
     /// Figure 8's lookup: ε-map prune → buffer → disk.
@@ -287,7 +293,7 @@ impl ClassifierView for HybridView {
             }
         };
         clock.charge_cpu_ops(2);
-        if let Some(l) = self.inner.watermarks().certain_label(eps) {
+        if let Some(l) = self.inner.wm.certain_label(eps) {
             self.eps_map_prunes += 1;
             return Some(l);
         }
@@ -305,34 +311,22 @@ impl ClassifierView for HybridView {
     }
 
     fn count_positive(&mut self) -> u64 {
-        let n = self.inner.count_positive();
-        if self.inner.reorg_epoch() != self.seen_epoch {
-            self.rebuild_memory();
-        }
-        n
+        self.forward(|v| v.count_positive())
     }
 
     fn positive_ids(&mut self) -> Vec<u64> {
-        let ids = self.inner.positive_ids();
-        if self.inner.reorg_epoch() != self.seen_epoch {
-            self.rebuild_memory();
-        }
-        ids
+        self.forward(|v| v.positive_ids())
     }
 
     fn top_k(&mut self, k: usize) -> Vec<(u64, f64)> {
         // ranked reads go to the full on-disk table; the ε-map and buffer
         // only accelerate certain-label lookups, which a ranked read cannot
         // use (it needs exact margins)
-        let out = self.inner.top_k(k);
-        if self.inner.reorg_epoch() != self.seen_epoch {
-            self.rebuild_memory();
-        }
-        out
+        self.forward(|v| v.top_k(k))
     }
 
     fn insert_entity(&mut self, e: Entity) {
-        let eps = self.inner.watermarks().stored_model().margin(&e.f);
+        let eps = self.inner.wm.stored_model().margin(&e.f);
         self.eps_map.insert(e.id, eps);
         self.inner.insert_entity(e);
     }

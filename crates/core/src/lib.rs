@@ -18,7 +18,19 @@
 //! * Five architectures × two approaches (Section 2.2, 3.5):
 //!   [`NaiveMemView`], [`HazyMemView`], [`NaiveDiskView`], [`HazyDiskView`]
 //!   and [`HybridView`], each eager or lazy, all behind the
-//!   [`ClassifierView`] trait.
+//!   [`ClassifierView`] trait. The first four are Figure 4's matrix and
+//!   are built as exactly that — **strategy × store**: the Hazy strategy
+//!   (`hazy.rs`) and the naive strategy (`naive.rs`) are each written once,
+//!   generic over a crate-private store interface (`store.rs`) with a
+//!   main-memory implementation (`mem_store.rs`: ε-sorted vector + id map)
+//!   and an on-disk one (`disk_store.rs`: clustered heap + B+-tree + hash
+//!   index over the buffer pool). The public names are aliases of the
+//!   cells. The strategy owns every decision the paper makes and every
+//!   charge its cost model names (statement overheads, classifications,
+//!   sorts, Skiing's clock differences); the store owns the physical
+//!   format and charges only its own physical work (page pins, index
+//!   probes, vector shifts). The hybrid is the ε-map + boundary buffer on
+//!   top of the on-disk Hazy cell.
 //!
 //! On-disk architectures run on `hazy-storage`'s simulated-cost pages;
 //! *every* architecture charges CPU work to the same [`VirtualClock`], so
@@ -30,20 +42,25 @@
 #![warn(missing_docs)]
 
 mod cost;
+mod disk_store;
 mod durable;
 mod entity;
 mod epoch;
+mod hazy;
 mod hazy_disk;
 mod hazy_mem;
 mod hybrid;
+mod mem_store;
 mod merge;
 mod migrate;
 mod multiclass_view;
+mod naive;
 mod naive_disk;
 mod naive_mem;
 pub mod opt;
 mod skiing;
 mod stats;
+mod store;
 mod view;
 mod watermark;
 

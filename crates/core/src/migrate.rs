@@ -32,24 +32,10 @@
 //! [`ViewBuilder::build_migrated`]: crate::ViewBuilder::build_migrated
 
 use hazy_learn::SgdTrainer;
-use hazy_storage::{BufferPool, HeapFile};
 
-use crate::entity::{decode_tuple_ref, Entity};
+use crate::entity::Entity;
 use crate::skiing::Skiing;
 use crate::stats::ViewStats;
-
-/// Evacuates a heap-resident population for migration: one sequential
-/// scan, entities materialized off the borrowed page bytes (page reads
-/// charged by the pool as usual). Shared by both on-disk architectures.
-pub(crate) fn evacuate_heap(heap: &HeapFile, pool: &mut BufferPool) -> Vec<Entity> {
-    let mut entities = Vec::with_capacity(heap.len() as usize);
-    heap.scan(pool, |_, bytes| {
-        let t = decode_tuple_ref(bytes).expect("well-formed tuple");
-        entities.push(Entity::new(t.id, t.f.to_owned()));
-        true
-    });
-    entities
-}
 
 /// The complete logical state extracted from a view for a live migration.
 ///

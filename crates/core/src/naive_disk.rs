@@ -1,347 +1,20 @@
-//! The naive on-disk architecture — the state of the art the paper compares
-//! against (Section 4.1: "The state-of-the-art approach to integrate
-//! classification with an RDBMS is captured by the na¨ıve on-disk
-//! approach").
-//!
-//! `V` is a heap file of `(id, label, eps, f)` tuples with a hash index on
-//! `id`. An eager update retrains and then rescans the entire heap,
-//! rewriting labels that changed; a lazy All-Members scan classifies every
-//! tuple. No clustering, no watermarks, no Skiing.
+//! The naive on-disk architecture: [`NaiveView`] over an unclustered
+//! [`DiskStore`] — `V` is a heap file of `(id, label, eps, f)` tuples with
+//! a hash index on `id`.
 
-use hazy_learn::{Label, LinearModel, SgdTrainer, TrainingExample};
-use hazy_linalg::wire;
-use hazy_storage::{BufferPool, HashIndex, HeapFile, Rid, SimDisk, VirtualClock};
-
-use crate::cost::{charge_classify, OpOverheads};
-use crate::durable::{tag, Durable};
-use crate::entity::{
-    decode_tuple_header, decode_tuple_ref, encode_tuple, Entity, HTuple, TUPLE_LABEL_OFFSET,
-};
-use crate::stats::{MemoryFootprint, ViewStats};
-use crate::view::{ClassifierView, Mode};
+use crate::disk_store::DiskStore;
+use crate::naive::NaiveView;
 
 /// Naive on-disk view.
-pub struct NaiveDiskView {
-    mode: Mode,
-    overheads: OpOverheads,
-    pool: BufferPool,
-    heap: HeapFile,
-    hash: HashIndex,
-    trainer: SgdTrainer,
-    stats: ViewStats,
-    scratch: Vec<u8>,
-}
-
-impl NaiveDiskView {
-    /// Builds the materialized view on disk, classifying every entity under
-    /// the initial model.
-    pub fn new(
-        entities: Vec<Entity>,
-        trainer: SgdTrainer,
-        mut pool: BufferPool,
-        overheads: OpOverheads,
-        mode: Mode,
-    ) -> NaiveDiskView {
-        let mut heap = HeapFile::new();
-        let mut hash = HashIndex::with_capacity(&mut pool, entities.len());
-        let mut scratch = Vec::new();
-        let clock = pool.disk().clock().clone();
-        for e in entities {
-            charge_classify(&clock, &e.f);
-            let eps = trainer.model().margin(&e.f);
-            let label = trainer.model().predict(&e.f);
-            scratch.clear();
-            encode_tuple(&HTuple { id: e.id, label, eps, f: e.f }, &mut scratch);
-            let rid = heap.append(&mut pool, &scratch).expect("entity tuple fits a page");
-            hash.insert(&mut pool, e.id, rid.to_u64()).expect("unique entity ids");
-        }
-        pool.flush_all();
-        NaiveDiskView { mode, overheads, pool, heap, hash, trainer, stats: ViewStats::default(), scratch }
-    }
-
-    fn clock(&self) -> VirtualClock {
-        self.pool.disk().clock().clone()
-    }
-
-    /// Inverse of this view's [`Durable::save_state`] (tag byte already
-    /// consumed): disk image first, then the pool over it, then the
-    /// directories that wire records to pages.
-    pub(crate) fn restore_state(
-        b: &mut &[u8],
-        clock: VirtualClock,
-        overheads: OpOverheads,
-    ) -> Option<NaiveDiskView> {
-        let mode = Mode::from_tag(wire::take_u8(b)?)?;
-        let trainer = SgdTrainer::restore_state(b)?;
-        let stats = ViewStats::restore_state(b)?;
-        let disk = SimDisk::restore_state(b, clock)?;
-        let pool = BufferPool::restore_state(b, disk)?;
-        let heap = HeapFile::restore_state(b)?;
-        let hash = HashIndex::restore_state(b)?;
-        Some(NaiveDiskView { mode, overheads, pool, heap, hash, trainer, stats, scratch: Vec::new() })
-    }
-
-    /// Full-scan relabel: the eager update's second half. Classifies off
-    /// borrowed page bytes (no per-tuple materialization) and patches
-    /// flipped labels as single bytes after the scan (the scan closure
-    /// holds the pool).
-    fn relabel_all(&mut self) {
-        let clock = self.clock();
-        let model = self.trainer.model().clone();
-        let mut changed: Vec<(Rid, Label)> = Vec::new();
-        let mut examined = 0u64;
-        let stats = &mut self.stats;
-        self.heap.scan(&mut self.pool, |rid, bytes| {
-            examined += 1;
-            let t = decode_tuple_ref(bytes).expect("well-formed tuple");
-            charge_classify(&clock, &t.f);
-            let l = model.predict(&t.f);
-            stats.tuples_reclassified += 1;
-            if l != t.label {
-                changed.push((rid, l));
-            }
-            true
-        });
-        self.stats.tuples_examined += examined;
-        for (rid, l) in changed {
-            self.heap
-                .patch_in_place(&mut self.pool, rid, TUPLE_LABEL_OFFSET, &[l as u8])
-                .expect("label byte is in range");
-            self.stats.labels_changed += 1;
-        }
-        self.pool.flush_all();
-    }
-}
-
-impl Durable for NaiveDiskView {
-    fn save_state(&self, out: &mut Vec<u8>) {
-        out.push(tag::NAIVE_DISK);
-        out.push(self.mode.tag());
-        self.trainer.save_state(out);
-        self.stats.save_state(out);
-        self.pool.disk().save_state(out);
-        self.pool.save_state(out);
-        self.heap.save_state(out);
-        self.hash.save_state(out);
-    }
-}
-
-impl ClassifierView for NaiveDiskView {
-    fn describe(&self) -> String {
-        format!("naive-od ({})", self.mode.name())
-    }
-
-    fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    fn update(&mut self, ex: &TrainingExample) {
-        self.update_batch(std::slice::from_ref(ex));
-    }
-
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
-        if batch.is_empty() {
-            return;
-        }
-        // one statement, k SGD rounds, ONE full-heap relabel: the naive
-        // architecture's relabel reads every tuple regardless of which
-        // model rounds happened, so running it once after the batch gives
-        // the same labels for 1/k of the page pins
-        let clock = self.clock();
-        clock.charge_ns(self.overheads.update_ns);
-        for ex in batch {
-            charge_classify(&clock, &ex.f);
-            self.trainer.step(&ex.f, ex.y);
-            self.stats.updates += 1;
-        }
-        if self.mode == Mode::Eager {
-            self.relabel_all();
-        }
-    }
-
-    fn read_single(&mut self, id: u64) -> Option<Label> {
-        let clock = self.clock();
-        clock.charge_ns(self.overheads.read_ns);
-        self.stats.single_reads += 1;
-        let rid = Rid::from_u64(self.hash.get(&mut self.pool, id)?);
-        match self.mode {
-            Mode::Eager => {
-                let (_, label, _) = self
-                    .heap
-                    .get(&mut self.pool, rid, decode_tuple_header)
-                    .ok()?
-                    .ok()?;
-                Some(label)
-            }
-            Mode::Lazy => {
-                let trainer = &self.trainer;
-                self.heap
-                    .get(&mut self.pool, rid, |bytes| {
-                        decode_tuple_ref(bytes).ok().map(|t| {
-                            charge_classify(&clock, &t.f);
-                            trainer.model().predict(&t.f)
-                        })
-                    })
-                    .ok()?
-            }
-        }
-    }
-
-    fn entity_count(&self) -> u64 {
-        self.heap.len()
-    }
-
-    fn count_positive(&mut self) -> u64 {
-        let clock = self.clock();
-        clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        let model = self.trainer.model().clone();
-        let lazy = self.mode == Mode::Lazy;
-        let mut n = 0u64;
-        let mut examined = 0u64;
-        self.heap.scan(&mut self.pool, |_, bytes| {
-            examined += 1;
-            if lazy {
-                let t = decode_tuple_ref(bytes).expect("well-formed tuple");
-                charge_classify(&clock, &t.f);
-                if model.predict(&t.f) > 0 {
-                    n += 1;
-                }
-            } else {
-                clock.charge_cpu_ops(1);
-                let (_, label, _) = decode_tuple_header(bytes).expect("well-formed tuple");
-                if label > 0 {
-                    n += 1;
-                }
-            }
-            true
-        });
-        self.stats.tuples_examined += examined;
-        n
-    }
-
-    fn positive_ids(&mut self) -> Vec<u64> {
-        let clock = self.clock();
-        clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        let model = self.trainer.model().clone();
-        let lazy = self.mode == Mode::Lazy;
-        let mut out = Vec::new();
-        let mut examined = 0u64;
-        self.heap.scan(&mut self.pool, |_, bytes| {
-            examined += 1;
-            if lazy {
-                let t = decode_tuple_ref(bytes).expect("well-formed tuple");
-                charge_classify(&clock, &t.f);
-                if model.predict(&t.f) > 0 {
-                    out.push(t.id);
-                }
-            } else {
-                clock.charge_cpu_ops(1);
-                let (id, label, _) = decode_tuple_header(bytes).expect("well-formed tuple");
-                if label > 0 {
-                    out.push(id);
-                }
-            }
-            true
-        });
-        self.stats.tuples_examined += examined;
-        out
-    }
-
-    fn top_k(&mut self, k: usize) -> Vec<(u64, f64)> {
-        let clock = self.clock();
-        clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        let model = self.trainer.model().clone();
-        let mut scored = Vec::new();
-        let mut examined = 0u64;
-        self.heap.scan(&mut self.pool, |_, bytes| {
-            examined += 1;
-            let t = decode_tuple_ref(bytes).expect("well-formed tuple");
-            charge_classify(&clock, &t.f);
-            scored.push((t.id, model.margin(&t.f)));
-            true
-        });
-        self.stats.tuples_examined += examined;
-        crate::view::take_top_k(scored, k, &clock)
-    }
-
-    fn insert_entity(&mut self, e: Entity) {
-        let clock = self.clock();
-        charge_classify(&clock, &e.f);
-        let eps = self.trainer.model().margin(&e.f);
-        let label = self.trainer.model().predict(&e.f);
-        self.scratch.clear();
-        encode_tuple(&HTuple { id: e.id, label, eps, f: e.f }, &mut self.scratch);
-        let rid = self.heap.append(&mut self.pool, &self.scratch).expect("tuple fits a page");
-        self.hash.insert(&mut self.pool, e.id, rid.to_u64()).expect("unique entity ids");
-    }
-
-    fn remove_entity(&mut self, id: u64) -> bool {
-        let Some(raw) = self.hash.get(&mut self.pool, id) else {
-            return false;
-        };
-        let rid = Rid::from_u64(raw);
-        // tombstone the heap record; slots are never reused, so the rid can
-        // never alias a later record
-        self.heap.delete(&mut self.pool, rid).expect("indexed rid resolves");
-        self.hash.remove(&mut self.pool, id).expect("indexed key removes");
-        self.pool.flush_all();
-        true
-    }
-
-    fn model(&self) -> &LinearModel {
-        self.trainer.model()
-    }
-
-    fn stats(&self) -> ViewStats {
-        self.stats
-    }
-
-    fn memory(&self) -> MemoryFootprint {
-        MemoryFootprint {
-            entities_bytes: 0,
-            eps_map_bytes: 0,
-            buffer_bytes: 0,
-            model_bytes: self.trainer.model().mem_bytes(),
-        }
-    }
-
-    fn clock(&self) -> &VirtualClock {
-        self.pool.disk().clock()
-    }
-
-    fn snapshot_state(&mut self) -> Option<(Vec<Entity>, LinearModel)> {
-        // a sequential heap scan (charged through the pool) copies the
-        // population out; the view lives on
-        Some((
-            crate::migrate::evacuate_heap(&self.heap, &mut self.pool),
-            self.trainer.model().clone(),
-        ))
-    }
-
-    fn export_migration(&mut self) -> Option<crate::MigrationState> {
-        Some(crate::MigrationState {
-            entities: crate::migrate::evacuate_heap(&self.heap, &mut self.pool),
-            trainer: self.trainer.clone(),
-            carry: crate::MigrationCarry { skiing: None, stats: self.stats() },
-        })
-    }
-
-    fn adopt_migration_carry(&mut self, carry: &crate::MigrationCarry) {
-        // construction left our counters at zero: continue the source's
-        self.stats = carry.stats;
-        self.stats.migrations += 1;
-    }
-}
+pub type NaiveDiskView = NaiveView<DiskStore>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hazy_learn::SgdConfig;
+    use crate::{ClassifierView, Entity, Mode, OpOverheads};
+    use hazy_learn::{SgdConfig, SgdTrainer, TrainingExample};
     use hazy_linalg::FeatureVec;
-    use hazy_storage::{CostModel, SimDisk};
+    use hazy_storage::{BufferPool, CostModel, SimDisk, VirtualClock};
 
     fn entities(n: usize) -> Vec<Entity> {
         (0..n)

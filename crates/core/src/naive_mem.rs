@@ -1,298 +1,19 @@
-//! The naive main-memory architecture (baseline).
-//!
-//! Entities live in a `Vec`. Eager updates retrain and then relabel *every*
-//! entity; lazy updates retrain only, and every read classifies from
-//! scratch. This is the "na¨ıve MM" row of Figure 4 — fast storage, no
-//! algorithmic savings — and the gap between it and [`HazyMemView`] is the
-//! paper's claim that the Skiing/watermark strategy, not main memory alone,
-//! provides an order of magnitude.
-//!
-//! [`HazyMemView`]: crate::hazy_mem::HazyMemView
+//! The naive main-memory architecture (baseline): [`NaiveView`] over the
+//! in-memory [`MemStore`].
 
-use std::collections::HashMap;
-
-use hazy_learn::{Label, LinearModel, SgdTrainer, TrainingExample};
-use hazy_linalg::{decode_fvec, encode_fvec, wire};
-use hazy_storage::VirtualClock;
-
-use crate::cost::{charge_classify, OpOverheads};
-use crate::durable::{tag, Durable};
-use crate::entity::Entity;
-use crate::migrate::{MigrationCarry, MigrationState};
-use crate::stats::{MemoryFootprint, ViewStats};
-use crate::view::{ClassifierView, Mode};
+use crate::mem_store::MemStore;
+use crate::naive::NaiveView;
 
 /// Naive in-memory view.
-pub struct NaiveMemView {
-    mode: Mode,
-    clock: VirtualClock,
-    overheads: OpOverheads,
-    trainer: SgdTrainer,
-    entities: Vec<Entity>,
-    /// Materialized labels; authoritative only in eager mode.
-    labels: Vec<Label>,
-    idmap: HashMap<u64, u32>,
-    stats: ViewStats,
-}
-
-impl NaiveMemView {
-    /// Builds the view, classifying every entity under the initial model.
-    pub fn new(
-        entities: Vec<Entity>,
-        trainer: SgdTrainer,
-        clock: VirtualClock,
-        overheads: OpOverheads,
-        mode: Mode,
-    ) -> NaiveMemView {
-        let mut labels = Vec::with_capacity(entities.len());
-        let mut idmap = HashMap::with_capacity(entities.len());
-        for (i, e) in entities.iter().enumerate() {
-            charge_classify(&clock, &e.f);
-            labels.push(trainer.model().predict(&e.f));
-            idmap.insert(e.id, i as u32);
-        }
-        NaiveMemView { mode, clock, overheads, trainer, entities, labels, idmap, stats: ViewStats::default() }
-    }
-
-    /// Inverse of this view's [`Durable::save_state`] (tag byte already
-    /// consumed by the dispatcher). The id map is rebuilt from the entity
-    /// list — derived structure, not serialized state.
-    pub(crate) fn restore_state(
-        b: &mut &[u8],
-        clock: VirtualClock,
-        overheads: OpOverheads,
-    ) -> Option<NaiveMemView> {
-        let mode = Mode::from_tag(wire::take_u8(b)?)?;
-        let trainer = SgdTrainer::restore_state(b)?;
-        let stats = ViewStats::restore_state(b)?;
-        let n = wire::take_u64(b)? as usize;
-        let mut entities = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        let mut idmap = HashMap::with_capacity(n);
-        for i in 0..n {
-            let id = wire::take_u64(b)?;
-            let label = wire::take_u8(b)? as i8;
-            if label != 1 && label != -1 {
-                return None;
-            }
-            let f = decode_fvec(b)?;
-            idmap.insert(id, i as u32);
-            entities.push(Entity::new(id, f));
-            labels.push(label);
-        }
-        Some(NaiveMemView { mode, clock, overheads, trainer, entities, labels, idmap, stats })
-    }
-
-    fn relabel_all(&mut self) {
-        for (i, e) in self.entities.iter().enumerate() {
-            charge_classify(&self.clock, &e.f);
-            let l = self.trainer.model().predict(&e.f);
-            self.stats.tuples_reclassified += 1;
-            if l != self.labels[i] {
-                self.labels[i] = l;
-                self.stats.labels_changed += 1;
-            }
-        }
-        self.stats.tuples_examined += self.entities.len() as u64;
-    }
-}
-
-impl Durable for NaiveMemView {
-    fn save_state(&self, out: &mut Vec<u8>) {
-        out.push(tag::NAIVE_MEM);
-        out.push(self.mode.tag());
-        self.trainer.save_state(out);
-        self.stats.save_state(out);
-        out.extend_from_slice(&(self.entities.len() as u64).to_le_bytes());
-        for (e, label) in self.entities.iter().zip(self.labels.iter()) {
-            out.extend_from_slice(&e.id.to_le_bytes());
-            out.push(*label as u8);
-            encode_fvec(&e.f, out);
-        }
-    }
-}
-
-impl ClassifierView for NaiveMemView {
-    fn describe(&self) -> String {
-        format!("naive-mm ({})", self.mode.name())
-    }
-
-    fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    fn update(&mut self, ex: &TrainingExample) {
-        self.update_batch(std::slice::from_ref(ex));
-    }
-
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
-        if batch.is_empty() {
-            return;
-        }
-        // one statement, k SGD rounds, one relabel pass — identical labels
-        // to k sequential updates at 1/k of the maintenance scans
-        self.clock.charge_ns(self.overheads.update_ns);
-        for ex in batch {
-            charge_classify(&self.clock, &ex.f);
-            self.trainer.step(&ex.f, ex.y);
-            self.stats.updates += 1;
-        }
-        if self.mode == Mode::Eager {
-            self.relabel_all();
-        }
-    }
-
-    fn read_single(&mut self, id: u64) -> Option<Label> {
-        self.clock.charge_ns(self.overheads.read_ns);
-        self.stats.single_reads += 1;
-        let idx = *self.idmap.get(&id)? as usize;
-        match self.mode {
-            Mode::Eager => Some(self.labels[idx]),
-            Mode::Lazy => {
-                let f = &self.entities[idx].f;
-                charge_classify(&self.clock, f);
-                Some(self.trainer.model().predict(f))
-            }
-        }
-    }
-
-    fn entity_count(&self) -> u64 {
-        self.entities.len() as u64
-    }
-
-    fn count_positive(&mut self) -> u64 {
-        self.clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        self.stats.tuples_examined += self.entities.len() as u64;
-        match self.mode {
-            Mode::Eager => {
-                self.clock.charge_cpu_ops(self.entities.len() as u64);
-                self.labels.iter().filter(|&&l| l > 0).count() as u64
-            }
-            Mode::Lazy => {
-                let mut n = 0;
-                for e in &self.entities {
-                    charge_classify(&self.clock, &e.f);
-                    if self.trainer.model().predict(&e.f) > 0 {
-                        n += 1;
-                    }
-                }
-                n
-            }
-        }
-    }
-
-    fn positive_ids(&mut self) -> Vec<u64> {
-        self.clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        self.stats.tuples_examined += self.entities.len() as u64;
-        let mut out = Vec::new();
-        for (i, e) in self.entities.iter().enumerate() {
-            let positive = match self.mode {
-                Mode::Eager => {
-                    self.clock.charge_cpu_ops(1);
-                    self.labels[i] > 0
-                }
-                Mode::Lazy => {
-                    charge_classify(&self.clock, &e.f);
-                    self.trainer.model().predict(&e.f) > 0
-                }
-            };
-            if positive {
-                out.push(e.id);
-            }
-        }
-        out
-    }
-
-    fn top_k(&mut self, k: usize) -> Vec<(u64, f64)> {
-        self.clock.charge_ns(self.overheads.scan_ns);
-        self.stats.all_members += 1;
-        self.stats.tuples_examined += self.entities.len() as u64;
-        let mut scored = Vec::with_capacity(self.entities.len());
-        for e in &self.entities {
-            charge_classify(&self.clock, &e.f);
-            scored.push((e.id, self.trainer.model().margin(&e.f)));
-        }
-        crate::view::take_top_k(scored, k, &self.clock)
-    }
-
-    fn insert_entity(&mut self, e: Entity) {
-        charge_classify(&self.clock, &e.f);
-        let label = self.trainer.model().predict(&e.f);
-        self.idmap.insert(e.id, self.entities.len() as u32);
-        self.labels.push(label);
-        self.entities.push(e);
-    }
-
-    fn remove_entity(&mut self, id: u64) -> bool {
-        let Some(idx) = self.idmap.remove(&id) else {
-            return false;
-        };
-        let idx = idx as usize;
-        self.entities.remove(idx);
-        self.labels.remove(idx);
-        // every entity behind the removed slot shifts down one position
-        for v in self.idmap.values_mut() {
-            if *v > idx as u32 {
-                *v -= 1;
-            }
-        }
-        self.clock.charge_cpu_ops(self.entities.len() as u64);
-        true
-    }
-
-    fn model(&self) -> &LinearModel {
-        self.trainer.model()
-    }
-
-    fn stats(&self) -> ViewStats {
-        self.stats
-    }
-
-    fn memory(&self) -> MemoryFootprint {
-        MemoryFootprint {
-            entities_bytes: self.entities.iter().map(|e| 8 + e.f.mem_bytes()).sum::<usize>()
-                + self.labels.len(),
-            eps_map_bytes: 0,
-            buffer_bytes: 0,
-            model_bytes: self.trainer.model().mem_bytes(),
-        }
-    }
-
-    fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
-    fn snapshot_state(&mut self) -> Option<(Vec<Entity>, LinearModel)> {
-        // one in-memory pass copies the population out; the view lives on
-        self.clock.charge_cpu_ops(self.entities.len() as u64);
-        Some((self.entities.clone(), self.trainer.model().clone()))
-    }
-
-    fn export_migration(&mut self) -> Option<MigrationState> {
-        // one in-memory pass copies the population out
-        self.clock.charge_cpu_ops(self.entities.len() as u64);
-        Some(MigrationState {
-            entities: self.entities.clone(),
-            trainer: self.trainer.clone(),
-            carry: MigrationCarry { skiing: None, stats: self.stats() },
-        })
-    }
-
-    fn adopt_migration_carry(&mut self, carry: &MigrationCarry) {
-        // construction left our counters at zero: continue the source's
-        self.stats = carry.stats;
-        self.stats.migrations += 1;
-    }
-}
+pub type NaiveMemView = NaiveView<MemStore>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hazy_learn::SgdConfig;
+    use crate::{ClassifierView, Entity, Mode, OpOverheads};
+    use hazy_learn::{SgdConfig, SgdTrainer, TrainingExample};
     use hazy_linalg::FeatureVec;
-    use hazy_storage::CostModel;
+    use hazy_storage::{CostModel, VirtualClock};
 
     fn entities(n: usize) -> Vec<Entity> {
         (0..n)

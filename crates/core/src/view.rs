@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 
-use hazy_learn::{Label, LinearModel, SgdConfig, TrainingExample};
+use hazy_learn::{Label, LinearModel, SgdConfig, SgdTrainer, TrainingExample};
 use hazy_linalg::NormPair;
 use hazy_storage::{BufferPool, CostModel, SimDisk, SimFs, VirtualClock, PAGE_SIZE};
 
@@ -15,6 +15,7 @@ use crate::hybrid::{HybridConfig, HybridView};
 use crate::naive_disk::NaiveDiskView;
 use crate::naive_mem::NaiveMemView;
 use crate::stats::{MemoryFootprint, ViewStats};
+use crate::store::{Row, Store};
 use crate::watermark::WatermarkPolicy;
 
 /// Eager (labels materialized on update) vs lazy (labels computed on read)
@@ -145,6 +146,22 @@ pub(crate) fn take_top_k(
     clock.charge_sort(scored.len() as u64);
     scored.sort_unstable_by(rank_order);
     scored
+}
+
+/// The ranked read every strategy answers the same way: one pass over the
+/// whole store scoring each tuple under the current `model` (off the store's
+/// own representation), then [`take_top_k`].
+pub(crate) fn ranked_scan<S: Store>(
+    store: &mut S,
+    model: &LinearModel,
+    clock: &VirtualClock,
+    stats: &mut ViewStats,
+    k: usize,
+) -> Vec<(u64, f64)> {
+    let mut scored = Vec::with_capacity(store.len() as usize);
+    store.scan_all(|row| scored.push((row.id(), row.margin(model, clock))));
+    stats.tuples_examined += scored.len() as u64;
+    take_top_k(scored, k, clock)
 }
 
 /// A maintained classification view. All methods take `&mut self`: even
@@ -504,16 +521,23 @@ impl ViewBuilder {
         warm: &[TrainingExample],
         clock: VirtualClock,
     ) -> Box<dyn DurableClassifierView + Send> {
+        let trainer = self.warm_trainer(&entities, warm);
+        self.assemble(self.arch, self.mode, entities, trainer, clock)
+    }
+
+    /// A trainer of the configured (or, when unset, inferred) dimension,
+    /// warm-started by `warm`.
+    fn warm_trainer(&self, entities: &[Entity], warm: &[TrainingExample]) -> SgdTrainer {
         let dim = if self.dim > 0 {
             self.dim
         } else {
             entities.iter().map(|e| e.f.dim() as usize).max().unwrap_or(0)
         };
-        let mut trainer = hazy_learn::SgdTrainer::new(self.sgd, dim);
+        let mut trainer = SgdTrainer::new(self.sgd, dim);
         for ex in warm {
             trainer.step(&ex.f, ex.y);
         }
-        self.assemble(self.arch, self.mode, entities, trainer, clock)
+        trainer
     }
 
     /// Rebuilds a view under `arch` × `mode` from the logical state a
@@ -545,7 +569,7 @@ impl ViewBuilder {
         arch: Architecture,
         mode: Mode,
         entities: Vec<Entity>,
-        trainer: hazy_learn::SgdTrainer,
+        trainer: SgdTrainer,
         clock: VirtualClock,
     ) -> Box<dyn DurableClassifierView + Send> {
         match arch {
@@ -600,15 +624,7 @@ impl ViewBuilder {
     /// experiment code can reach its hooks (`set_uncertain_fraction`,
     /// `set_buffer_frac`). Ignores the builder's `arch`.
     pub fn build_hybrid(&self, entities: Vec<Entity>, warm: &[TrainingExample]) -> HybridView {
-        let dim = if self.dim > 0 {
-            self.dim
-        } else {
-            entities.iter().map(|e| e.f.dim() as usize).max().unwrap_or(0)
-        };
-        let mut trainer = hazy_learn::SgdTrainer::new(self.sgd, dim);
-        for ex in warm {
-            trainer.step(&ex.f, ex.y);
-        }
+        let trainer = self.warm_trainer(&entities, warm);
         let clock = VirtualClock::new(self.cost_model);
         let pool = self.make_pool(&entities, clock);
         HybridView::new(
@@ -628,15 +644,7 @@ impl ViewBuilder {
     /// hooks (`waterband`, `tuples_in_band`, `skiing`). Ignores the
     /// builder's `arch`.
     pub fn build_hazy_mem(&self, entities: Vec<Entity>, warm: &[TrainingExample]) -> HazyMemView {
-        let dim = if self.dim > 0 {
-            self.dim
-        } else {
-            entities.iter().map(|e| e.f.dim() as usize).max().unwrap_or(0)
-        };
-        let mut trainer = hazy_learn::SgdTrainer::new(self.sgd, dim);
-        for ex in warm {
-            trainer.step(&ex.f, ex.y);
-        }
+        let trainer = self.warm_trainer(&entities, warm);
         let clock = VirtualClock::new(self.cost_model);
         HazyMemView::new(
             entities,

@@ -45,7 +45,11 @@ const EXPLICIT_REORGS: u64 = 4;
 fn run(arch: Architecture, mode: Mode) -> Golden {
     let spec = DatasetSpec::dblife().scaled(0.008);
     let ds = spec.generate();
-    let entities: Vec<Entity> = ds.entities.iter().map(|e| Entity::new(e.id, e.f.clone())).collect();
+    let entities: Vec<Entity> = ds
+        .entities
+        .iter()
+        .map(|e| Entity::new(e.id, e.f.clone()))
+        .collect();
     let n = entities.len() as u64;
     let warm = ExampleStream::new(&spec, 99).take_vec(300);
     let builder = ViewBuilder::new(arch, mode)
@@ -148,7 +152,14 @@ fn run(arch: Architecture, mode: Mode) -> Golden {
 
     let mut blob = Vec::new();
     v.save_state(&mut blob);
-    Golden { arch, mode, clock_ns: v.clock().now_ns(), blob_len: blob.len(), answers: a.0, stats: v.stats() }
+    Golden {
+        arch,
+        mode,
+        clock_ns: v.clock().now_ns(),
+        blob_len: blob.len(),
+        answers: a.0,
+        stats: v.stats(),
+    }
 }
 
 /// The answer checksum every architecture × mode must produce.
@@ -157,7 +168,13 @@ const ANSWERS: u64 = 15_849_153_740_637_393_786;
 /// `counters` is `[updates, single_reads, all_members, tuples_reclassified,
 /// tuples_examined, labels_changed, reorgs, last_reorg_ns, eps_map_prunes,
 /// buffer_hits, disk_reads]`.
-fn g(arch: Architecture, mode: Mode, clock_ns: u64, blob_len: usize, counters: [u64; 11]) -> Golden {
+fn g(
+    arch: Architecture,
+    mode: Mode,
+    clock_ns: u64,
+    blob_len: usize,
+    counters: [u64; 11],
+) -> Golden {
     let [updates, single_reads, all_members, tuples_reclassified, tuples_examined, labels_changed, reorgs, last_reorg_ns, eps_map_prunes, buffer_hits, disk_reads] =
         counters;
     let stats = ViewStats {
@@ -174,7 +191,14 @@ fn g(arch: Architecture, mode: Mode, clock_ns: u64, blob_len: usize, counters: [
         disk_reads,
         ..ViewStats::default()
     };
-    Golden { arch, mode, clock_ns, blob_len, answers: ANSWERS, stats }
+    Golden {
+        arch,
+        mode,
+        clock_ns,
+        blob_len,
+        answers: ANSWERS,
+        stats,
+    }
 }
 
 #[rustfmt::skip]
