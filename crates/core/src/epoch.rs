@@ -56,7 +56,7 @@ use hazy_linalg::NormPair;
 
 use crate::durable::{apply_record, DurableClassifierView, DurableView, Replayed};
 use crate::entity::Entity;
-use crate::view::{rank_order, Architecture, ClassifierView, Mode};
+use crate::view::{select_top_k, Architecture, ClassifierView, Mode};
 use crate::watermark::{WaterMarks, WatermarkPolicy};
 
 /// Global epoch-lifecycle metrics: every [`EpochCell`] in the process
@@ -223,9 +223,9 @@ impl ModelEpoch {
     }
 
     /// Ranked read under the epoch's model: margin descending, ids
-    /// ascending on ties — the same total order as
-    /// [`rank_order`], so merged per-shard epoch answers equal the
-    /// unsharded listing bit for bit.
+    /// ascending on ties — the same selection under
+    /// [`rank_order`](crate::rank_order) the engines run, so merged
+    /// per-shard epoch answers equal the unsharded listing bit for bit.
     pub fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
         if k == 0 {
             return Vec::new();
@@ -240,9 +240,7 @@ impl ModelEpoch {
         for (&id, (e, _)) in &self.added {
             scored.push((id, self.model.margin(&e.f)));
         }
-        scored.sort_unstable_by(rank_order);
-        scored.truncate(k);
-        scored
+        select_top_k(scored, k)
     }
 
     /// Number of overlay entries (label patches + inserts + retractions) —

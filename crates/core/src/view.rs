@@ -129,23 +129,34 @@ pub fn rank_order(a: &(u64, f64), b: &(u64, f64)) -> Ordering {
 }
 
 /// Keeps the best `k` of `scored` under [`rank_order`] and sorts them:
-/// O(n) selection plus an O(k log k) sort, charged to `clock` as such.
-pub(crate) fn take_top_k(
-    mut scored: Vec<(u64, f64)>,
-    k: usize,
-    clock: &VirtualClock,
-) -> Vec<(u64, f64)> {
+/// O(n) selection plus an O(k log k) sort. Every ranked read — the engines'
+/// (through [`take_top_k`]) and a pinned epoch's — selects here, so they
+/// agree bit for bit by construction.
+pub(crate) fn select_top_k(mut scored: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f64)> {
     if k == 0 {
         return Vec::new();
     }
     if k < scored.len() {
-        clock.charge_cpu_ops(scored.len() as u64);
         scored.select_nth_unstable_by(k - 1, rank_order);
         scored.truncate(k);
     }
-    clock.charge_sort(scored.len() as u64);
     scored.sort_unstable_by(rank_order);
     scored
+}
+
+/// [`select_top_k`], charged to `clock` as what it is.
+pub(crate) fn take_top_k(
+    scored: Vec<(u64, f64)>,
+    k: usize,
+    clock: &VirtualClock,
+) -> Vec<(u64, f64)> {
+    if k > 0 {
+        if k < scored.len() {
+            clock.charge_cpu_ops(scored.len() as u64);
+        }
+        clock.charge_sort(k.min(scored.len()) as u64);
+    }
+    select_top_k(scored, k)
 }
 
 /// The ranked read every strategy answers the same way: one pass over the

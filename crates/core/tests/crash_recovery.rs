@@ -25,232 +25,60 @@
 //! The crash seed is taken from `HAZY_CRASH_SEED` so CI can run a
 //! deterministic seed matrix.
 
-use std::sync::{Arc, Mutex};
-
-use hazy_core::{
-    Architecture, ClassifierView, CoreRestorer, DurableClassifierView, DurableView, Entity, Mode,
-    OpOverheads, ViewBuilder, ViewRestorer,
+use hazy_core::{Architecture, ClassifierView, CoreRestorer, DurableView, Mode};
+use hazy_linalg::NormPair;
+use hazy_storage::WalReader;
+use hazy_testkit::{
+    apply, assert_answers_match, assert_models_bit_identical, assert_ranked_bit_identical,
+    assert_stats_match, boundaries, build_plain, builder, durable, durable_run, recover, restorer, script, seed, Op,
+    PrefixOracle, Shape,
 };
-use hazy_learn::TrainingExample;
-use hazy_linalg::{FeatureVec, NormPair};
-use hazy_serve::{ServeRestorer, ShardedView};
-use hazy_storage::{DurableImage, DurableStore, WalReader};
 
-/// Operations per script — the acceptance floor is 500.
-const SCRIPT_OPS: usize = 520;
 /// Auto-checkpoint interval (every boundary replays at most this many ops).
 const CKPT_INTERVAL: u64 = 48;
-const N_ENTITIES: usize = 72;
+/// Ranked-read depth of the differential probe.
+const TOP_K: usize = 7;
 
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn seed() -> u64 {
-    std::env::var("HAZY_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
-}
-
-#[derive(Clone, Debug)]
-enum Op {
-    Update(Vec<TrainingExample>),
-    Insert(Entity),
-    Read(u64),
-    Count,
-    Members,
-    TopK(usize),
-    Reorg,
-}
-
-fn feature(r: &mut u64) -> FeatureVec {
-    let a = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    let b = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    FeatureVec::dense(vec![a, b, 1.0])
-}
-
-fn base_entities() -> Vec<Entity> {
-    let mut r = 0x00E1_7A11_u64;
-    (0..N_ENTITIES).map(|k| Entity::new(k as u64, feature(&mut r))).collect()
-}
-
-/// Generates a concrete script (ids resolved) so the durable run and every
-/// oracle apply byte-identical operations.
-fn script(seed: u64) -> (Vec<Op>, Vec<u64>) {
-    let mut r = seed ^ 0x5C21_97A3_0000_0001;
-    let mut population: Vec<u64> = (0..N_ENTITIES as u64).collect();
-    let mut next_id = 10_000u64;
-    let mut ops = Vec::with_capacity(SCRIPT_OPS);
-    for _ in 0..SCRIPT_OPS {
-        let roll = splitmix64(&mut r) % 100;
-        let op = if roll < 45 {
-            let n = 1 + (splitmix64(&mut r) % 3) as usize;
-            let batch = (0..n)
-                .map(|_| {
-                    let f = feature(&mut r);
-                    let y = if splitmix64(&mut r).is_multiple_of(2) { 1 } else { -1 };
-                    TrainingExample::new(0, f, y)
-                })
-                .collect();
-            Op::Update(batch)
-        } else if roll < 53 {
-            let e = Entity::new(next_id, feature(&mut r));
-            next_id += 1;
-            population.push(e.id);
-            Op::Insert(e)
-        } else if roll < 78 {
-            let idx = (splitmix64(&mut r) as usize) % population.len();
-            Op::Read(population[idx])
-        } else if roll < 86 {
-            Op::Count
-        } else if roll < 93 {
-            Op::Members
-        } else if roll < 98 {
-            Op::TopK(1 + (splitmix64(&mut r) % 9) as usize)
-        } else {
-            Op::Reorg
-        };
-        ops.push(op);
-    }
-    (ops, population)
-}
-
-fn apply(v: &mut (dyn DurableClassifierView + Send), op: &Op) {
-    match op {
-        Op::Update(batch) => v.update_batch(batch),
-        Op::Insert(e) => v.insert_entity(e.clone()),
-        Op::Read(id) => {
-            let _ = v.read_single(*id);
-        }
-        Op::Count => {
-            let _ = v.count_positive();
-        }
-        Op::Members => {
-            let _ = v.positive_ids();
-        }
-        Op::TopK(k) => {
-            let _ = v.top_k(*k);
-        }
-        Op::Reorg => v.reorganize(),
-    }
-}
-
-fn builder(arch: Architecture, mode: Mode) -> ViewBuilder {
-    ViewBuilder::new(arch, mode)
-        .norm_pair(NormPair::EUCLIDEAN)
-        .overheads(OpOverheads::free())
-        .dim(3)
-}
-
-fn build_plain(b: &ViewBuilder, shards: usize) -> Box<dyn DurableClassifierView + Send> {
-    if shards <= 1 {
-        b.build(base_entities(), &[])
-    } else {
-        Box::new(ShardedView::build(b, shards, base_entities(), &[]))
-    }
-}
-
-fn assert_models_bit_identical(a: &hazy_learn::LinearModel, b: &hazy_learn::LinearModel, ctx: &str) {
-    assert_eq!(a.b.to_bits(), b.b.to_bits(), "{ctx}: bias diverged");
-    let (wa, wb) = (a.w.to_vec(), b.w.to_vec());
-    assert_eq!(wa.len(), wb.len(), "{ctx}: weight dim diverged");
-    for (i, (x, y)) in wa.iter().zip(wb.iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: weight {i} diverged");
-    }
-}
-
-/// Full differential probe: classify every live entity, count, list
-/// members, and rank — answers must match bit-for-bit.
-fn assert_answers_match(
-    recovered: &mut dyn ClassifierView,
-    probe: &mut (dyn DurableClassifierView + Send),
-    population: &[u64],
-    ctx: &str,
-) {
-    assert_eq!(recovered.count_positive(), probe.count_positive(), "{ctx}: count_positive");
-    let mut got = recovered.positive_ids();
-    let mut want = probe.positive_ids();
-    got.sort_unstable();
-    want.sort_unstable();
-    assert_eq!(got, want, "{ctx}: scan_positive");
-    let rk = recovered.top_k(7);
-    let pk = probe.top_k(7);
-    assert_eq!(rk.len(), pk.len(), "{ctx}: top_k length");
-    for ((id_a, m_a), (id_b, m_b)) in rk.iter().zip(pk.iter()) {
-        assert_eq!(id_a, id_b, "{ctx}: top_k order");
-        assert_eq!(m_a.to_bits(), m_b.to_bits(), "{ctx}: top_k margin");
-    }
-    for &id in population {
-        assert_eq!(recovered.read_single(id), probe.read_single(id), "{ctx}: classify({id})");
-    }
-    // an id that never existed stays absent after recovery
-    assert_eq!(recovered.read_single(u64::MAX - 7), None, "{ctx}: ghost id");
-}
+const SHAPE: Shape = Shape::CRASH_520;
 
 fn run_config(arch: Architecture, mode: Mode, shards: usize) {
     let seed = seed();
-    let (ops, population) = script(seed);
+    let (ops, population) = script(seed, &SHAPE);
     let b = builder(arch, mode);
-    let restorer: &dyn ViewRestorer = if shards <= 1 { &CoreRestorer } else { &ServeRestorer };
+    let build = || build_plain(&b, shards, SHAPE.base_entities());
     let ctx_base = format!("{}/{}/shards={shards}/seed={seed}", arch.name(), mode.name());
 
-    // ---- the durable run: capture a crash image at every record boundary
-    let inner = build_plain(&b, shards);
-    let store = Arc::new(Mutex::new(DurableStore::new(inner.clock().clone())));
-    let mut dv = DurableView::create(inner, store, CKPT_INTERVAL);
-    let mut images: Vec<DurableImage> = Vec::with_capacity(ops.len() + 1);
-    images.push(dv.durable_image());
-    for op in &ops {
-        apply(&mut dv, op);
-        images.push(dv.durable_image());
-    }
+    let images = durable_run(build(), CKPT_INTERVAL, &ops);
+    let mut clean = PrefixOracle::new(&ops, build());
+    let mut probe = PrefixOracle::new(&ops, build());
 
-    // ---- oracles, advanced as the boundary walks forward
-    let mut clean = build_plain(&b, shards);
-    let mut probe = build_plain(&b, shards);
-    let mut applied = 0usize;
-
-    for (boundary, image) in images.iter().enumerate() {
+    for (boundary, image, durable_ops) in boundaries(&images) {
         // the durable prefix: exactly the ops whose WAL records survived
-        let durable_ops = WalReader::new(image.wal_bytes()).count();
         assert_eq!(
             durable_ops, boundary,
             "{ctx_base}: boundary {boundary} should have {boundary} durable records"
         );
-        while applied < durable_ops {
-            apply(clean.as_mut(), &ops[applied]);
-            apply(probe.as_mut(), &ops[applied]);
-            applied += 1;
-        }
-        let mut recovered = DurableView::recover_image(&b, image, CKPT_INTERVAL, restorer)
-            .unwrap_or_else(|e| panic!("{ctx_base}: recovery at boundary {boundary} failed: {e}"));
+        clean.advance_to(durable_ops);
+        probe.advance_to(durable_ops);
         let ctx = format!("{ctx_base}@{boundary}");
-        // stats first (before the differential reads mutate them): exact
-        // bit-identity for unsharded deployments
-        if shards <= 1 {
-            assert_eq!(recovered.stats(), clean.stats(), "{ctx}: ViewStats diverged");
-        } else {
-            let (rs, cs) = (recovered.stats(), clean.stats());
-            assert_eq!(rs.updates, cs.updates, "{ctx}: update count diverged");
-            assert_eq!(rs.labels_changed, cs.labels_changed, "{ctx}: label flips diverged");
-        }
-        assert_models_bit_identical(recovered.model(), clean.model(), &ctx);
+        let mut recovered = recover(&b, image, CKPT_INTERVAL, restorer(shards), &ctx);
+        // stats first (before the differential reads mutate them)
+        assert_stats_match(&recovered.stats(), &clean.view.stats(), shards, &ctx);
+        assert_models_bit_identical(recovered.model(), clean.view.model(), &ctx);
         // probe only a sample of boundaries exhaustively — every boundary
         // still recovers + checks stats/model above; full answer sweeps at
         // every 7th boundary (and the last) keep the suite fast
         if boundary % 7 == 0 || boundary == images.len() - 1 {
-            assert_answers_match(&mut recovered, probe.as_mut(), &population, &ctx);
+            assert_answers_match(&mut recovered, probe.view.as_mut(), &population, TOP_K, &ctx);
         } else {
             assert_eq!(
                 recovered.count_positive(),
-                probe.count_positive(),
+                probe.view.count_positive(),
                 "{ctx}: count_positive"
             );
         }
     }
-    assert_eq!(applied, ops.len(), "{ctx_base}: script fully replayed");
+    assert_eq!(clean.applied(), ops.len(), "{ctx_base}: script fully replayed");
 }
 
 macro_rules! crash_matrix {
@@ -292,25 +120,20 @@ crash_matrix! {
 #[test]
 fn torn_wal_tail_recovers_to_prefix() {
     let b = builder(Architecture::HazyMem, Mode::Eager);
-    let (ops, population) = script(seed());
-    let inner = build_plain(&b, 1);
-    let store = Arc::new(Mutex::new(DurableStore::new(inner.clock().clone())));
-    let mut dv = DurableView::create(inner, store, CKPT_INTERVAL);
+    let (ops, population) = script(seed(), &SHAPE);
+    let mut dv = durable(build_plain(&b, 1, SHAPE.base_entities()), CKPT_INTERVAL);
     dv.store().lock().unwrap().wal.arm_crash(hazy_storage::CrashPoint::TornAfterRecords(90));
     for op in &ops {
         apply(&mut dv, op);
     }
     let image = dv.durable_image();
     assert_eq!(WalReader::new(image.wal_bytes()).count(), 90, "torn record must not parse");
-    let mut recovered =
-        DurableView::recover_image(&b, &image, CKPT_INTERVAL, &CoreRestorer).unwrap();
-    let mut oracle = build_plain(&b, 1);
-    for op in &ops[..90] {
-        apply(oracle.as_mut(), op);
-    }
-    assert_eq!(recovered.stats(), oracle.stats());
-    assert_models_bit_identical(recovered.model(), oracle.model(), "torn tail");
-    assert_answers_match(&mut recovered, oracle.as_mut(), &population, "torn tail");
+    let mut recovered = recover(&b, &image, CKPT_INTERVAL, &CoreRestorer, "torn tail");
+    let mut oracle = PrefixOracle::new(&ops, build_plain(&b, 1, SHAPE.base_entities()));
+    oracle.advance_to(90);
+    assert_eq!(recovered.stats(), oracle.view.stats());
+    assert_models_bit_identical(recovered.model(), oracle.view.model(), "torn tail");
+    assert_answers_match(&mut recovered, oracle.view.as_mut(), &population, TOP_K, "torn tail");
 }
 
 /// A crash mid-checkpoint leaves the previous checkpoint authoritative and
@@ -319,11 +142,9 @@ fn torn_wal_tail_recovers_to_prefix() {
 #[test]
 fn torn_checkpoint_recovers_through_previous_slot() {
     let b = builder(Architecture::Hybrid, Mode::Lazy);
-    let (ops, population) = script(seed());
-    let inner = build_plain(&b, 1);
-    let store = Arc::new(Mutex::new(DurableStore::new(inner.clock().clone())));
+    let (ops, population) = script(seed(), &SHAPE);
     // manual checkpointing only
-    let mut dv = DurableView::create(inner, store, 0);
+    let mut dv = durable(build_plain(&b, 1, SHAPE.base_entities()), 0);
     for op in &ops[..200] {
         apply(&mut dv, op);
     }
@@ -336,14 +157,12 @@ fn torn_checkpoint_recovers_through_previous_slot() {
     for op in &ops[300..320] {
         apply(&mut dv, op);
     }
-    let mut recovered =
-        DurableView::recover_image(&b, &dv.durable_image(), 0, &CoreRestorer).unwrap();
-    let mut oracle = build_plain(&b, 1);
-    for op in &ops[..320] {
-        apply(oracle.as_mut(), op);
-    }
-    assert_eq!(recovered.stats(), oracle.stats());
-    assert_answers_match(&mut recovered, oracle.as_mut(), &population, "torn checkpoint");
+    let ctx = "torn checkpoint";
+    let mut recovered = recover(&b, &dv.durable_image(), 0, &CoreRestorer, ctx);
+    let mut oracle = PrefixOracle::new(&ops, build_plain(&b, 1, SHAPE.base_entities()));
+    oracle.advance_to(320);
+    assert_eq!(recovered.stats(), oracle.view.stats());
+    assert_answers_match(&mut recovered, oracle.view.as_mut(), &population, TOP_K, ctx);
 }
 
 /// PR 8, epochs × durability: readers hold epoch pins across a crash at
@@ -361,17 +180,14 @@ fn epoch_pins_survive_crash_at_every_wal_boundary() {
     use hazy_core::EpochPublisher;
 
     let b = builder(Architecture::HazyMem, Mode::Eager);
-    let (ops, _population) = script(seed());
-    let inner = build_plain(&b, 1);
-    let store = Arc::new(Mutex::new(DurableStore::new(inner.clock().clone())));
-    let mut dv = DurableView::create(inner, store, CKPT_INTERVAL);
+    let (ops, _population) = script(seed(), &SHAPE);
+    let mut dv = durable(build_plain(&b, 1, SHAPE.base_entities()), CKPT_INTERVAL);
 
     let (entities, model) = dv.snapshot_state().expect("durable views snapshot");
     let mut publisher = EpochPublisher::new(entities, model, NormPair::EUCLIDEAN, 0);
     let cell = publisher.handle();
 
-    let mut images: Vec<DurableImage> = Vec::with_capacity(ops.len() + 1);
-    images.push(dv.durable_image());
+    let mut images = vec![dv.durable_image()];
     let mut pins = Vec::new();
     let mut pinned_at = Vec::new();
     pins.push(cell.pin());
@@ -387,6 +203,7 @@ fn epoch_pins_survive_crash_at_every_wal_boundary() {
             Op::Reorg => publisher.apply_reorganize(),
             // reads advance the logical LSN without changing answers
             Op::Read(_) | Op::Count | Op::Members | Op::TopK(_) => publisher.apply_noop(),
+            Op::Remove(_) | Op::SetArch(..) => unreachable!("not in this suite's mix"),
         }
         images.push(dv.durable_image());
         if (i + 1).is_multiple_of(13) {
@@ -402,8 +219,8 @@ fn epoch_pins_survive_crash_at_every_wal_boundary() {
     // fresh epoch must agree with the live pin taken at that LSN
     for (pin, &lsn) in pins.iter().zip(pinned_at.iter()) {
         let image = &images[lsn as usize];
-        let mut recovered = DurableView::recover_image(&b, image, CKPT_INTERVAL, &CoreRestorer)
-            .unwrap_or_else(|e| panic!("recovery at boundary {lsn} failed: {e}"));
+        let mut recovered =
+            recover(&b, image, CKPT_INTERVAL, &CoreRestorer, &format!("boundary {lsn}"));
         let (entities, model) = recovered.snapshot_state().expect("recovered view snapshots");
         let fresh = EpochPublisher::new(entities, model, NormPair::EUCLIDEAN, lsn);
         let fcell = fresh.handle();
@@ -414,18 +231,15 @@ fn epoch_pins_survive_crash_at_every_wal_boundary() {
         assert_eq!(fpin.lsn(), pin.lsn(), "boundary {lsn}: LSN");
         assert_eq!(fpin.count_positive(), pin.count_positive(), "boundary {lsn}: count");
         assert_eq!(fpin.positive_ids(), pin.positive_ids(), "boundary {lsn}: members");
-        let (fk, lk) = (fpin.top_k(7), pin.top_k(7));
-        assert_eq!(fk.len(), lk.len(), "boundary {lsn}: top_k length");
-        for ((fa, fm), (la, lm)) in fk.iter().zip(lk.iter()) {
-            assert_eq!(fa, la, "boundary {lsn}: top_k order");
-            assert_eq!(fm.to_bits(), lm.to_bits(), "boundary {lsn}: top_k margin");
-        }
-        assert_models_bit_identical(fpin.model(), pin.model(), &format!("boundary {lsn}"));
+        let ctx = format!("boundary {lsn}");
+        assert_ranked_bit_identical(&fpin.top_k(TOP_K), &pin.top_k(TOP_K), &ctx);
+        assert_models_bit_identical(fpin.model(), pin.model(), &ctx);
     }
 
     // durable ViewStats never carry epoch counters: a recovered view's
     // ephemeral counters restart from its own fresh publications
-    let recovered = DurableView::recover_image(&b, images.last().unwrap(), CKPT_INTERVAL, &CoreRestorer).unwrap();
+    let recovered: DurableView =
+        recover(&b, images.last().unwrap(), CKPT_INTERVAL, &CoreRestorer, "final image");
     assert_eq!(recovered.stats().epochs_published, 0, "epoch counters must not be durable");
     assert_eq!(recovered.stats().epoch_pins, 0, "pin counters must not be durable");
 

@@ -20,11 +20,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hazy_core::{
-    Architecture, DurableClassifierView, Entity, EpochPublisher, Mode, OpOverheads, ViewBuilder,
-};
+use hazy_core::{Architecture, Entity, EpochPublisher, Mode, ViewBuilder};
 use hazy_learn::TrainingExample;
-use hazy_linalg::{FeatureVec, NormPair};
+use hazy_linalg::NormPair;
+use hazy_testkit::{builder, grid_entities, grid_feature, BoxedView};
 use proptest::prelude::*;
 
 /// Counts net live bytes per thread. Thread-local so the parallel test
@@ -58,22 +57,8 @@ fn live_bytes() -> i64 {
     LIVE_BYTES.with(|c| c.get())
 }
 
-fn grid_feature(a: u8, b: u8) -> FeatureVec {
-    FeatureVec::dense(vec![f32::from(a) / 255.0 - 0.5, f32::from(b) / 255.0 - 0.5, 1.0])
-}
-
-fn base_entities(n: usize) -> Vec<Entity> {
-    (0..n)
-        .map(|k| Entity::new(k as u64, grid_feature((k * 37 % 256) as u8, (k * 91 % 256) as u8)))
-        .collect()
-}
-
-fn build_view(arch: Architecture, mode: Mode) -> Box<dyn DurableClassifierView + Send> {
-    ViewBuilder::new(arch, mode)
-        .norm_pair(NormPair::EUCLIDEAN)
-        .overheads(OpOverheads::free())
-        .dim(3)
-        .build(base_entities(48), &[])
+fn build_view(arch: Architecture, mode: Mode) -> BoxedView {
+    builder(arch, mode).build(grid_entities(48), &[])
 }
 
 #[derive(Clone, Debug)]
@@ -101,7 +86,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// pressure is maximal while pins are held.
 fn writer_step(
     b: &ViewBuilder,
-    view: &mut Box<dyn DurableClassifierView + Send>,
+    view: &mut BoxedView,
     publisher: &mut EpochPublisher,
     next_id: &mut u64,
     op: &Op,
@@ -156,10 +141,7 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..80),
         pin_at_raw in any::<u16>(),
     ) {
-        let b = ViewBuilder::new(Architecture::HazyMem, Mode::Eager)
-            .norm_pair(NormPair::EUCLIDEAN)
-            .overheads(OpOverheads::free())
-            .dim(3);
+        let b = builder(Architecture::HazyMem, Mode::Eager);
         let mut view = build_view(Architecture::HazyMem, Mode::Eager);
         let (entities, model) = view.snapshot_state().expect("snapshot");
         let mut publisher = EpochPublisher::new(entities, model, NormPair::EUCLIDEAN, 0);

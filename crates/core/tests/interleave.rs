@@ -29,205 +29,68 @@
 //! already prove architecture-independent, so one oracle per config serves
 //! every pin regardless of how the writer's view has migrated since.
 
-use std::collections::HashMap;
-
-use hazy_core::{
-    Architecture, DurableClassifierView, Entity, EpochCell, EpochPin, EpochPublisher, Mode,
-    OpOverheads, ViewBuilder,
+use hazy_core::{Architecture, EpochCell, EpochPin, EpochPublisher, Mode, ViewBuilder};
+use hazy_linalg::NormPair;
+use hazy_testkit::{
+    apply, assert_models_bit_identical, assert_ranked_bit_identical, builder, probe, script, seed,
+    splitmix64, BoxedView, Mix, Op, OracleState, Shape,
 };
-use hazy_learn::{Label, LinearModel, TrainingExample};
-use hazy_linalg::{FeatureVec, NormPair};
 
-/// Logical statements per script; matches the crash suite's floor.
-const SCRIPT_OPS: usize = 520;
-const N_ENTITIES: usize = 72;
 const N_READERS: usize = 4;
 /// Ranked-read depth checked at every oracle LSN.
 const TOP_K: usize = 7;
 
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn seed() -> u64 {
-    std::env::var("HAZY_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
-}
-
-/// One logical statement. Every variant advances the epoch LSN by exactly
+/// 520 logical statements (the crash suite's floor) over 72 entities, with
+/// a migration round-trip pinned in: away at one third, home at two thirds
+/// — pins straddle both hops. Every op advances the epoch LSN by exactly
 /// one, so `oracle[lsn]` is the state after the first `lsn` ops.
-#[derive(Clone, Debug)]
-enum Op {
-    Update(Vec<TrainingExample>),
-    Insert(Entity),
-    Remove(u64),
-    Read(u64),
-    Count,
-    Members,
-    TopK(usize),
-    Reorg,
-    /// Live architecture migration mid-script — must be answer-invisible
-    /// to both the oracle and every pinned reader.
-    Migrate(Architecture, Mode),
-}
-
-fn feature(r: &mut u64) -> FeatureVec {
-    let a = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    let b = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    FeatureVec::dense(vec![a, b, 1.0])
-}
-
-fn base_entities() -> Vec<Entity> {
-    let mut r = 0x00E1_7A11_u64;
-    (0..N_ENTITIES).map(|k| Entity::new(k as u64, feature(&mut r))).collect()
-}
-
-/// Generates a concrete script plus the set of every id that is ever live,
-/// so probes can also assert absence after removals.
-fn script(seed: u64, home: Architecture, mode: Mode) -> (Vec<Op>, Vec<u64>) {
-    let mut r = seed ^ 0x17E2_11EA_0000_0001;
-    let mut live: Vec<u64> = (0..N_ENTITIES as u64).collect();
-    let mut dead: Vec<u64> = Vec::new();
-    let mut ever: Vec<u64> = live.clone();
-    let mut next_id = 10_000u64;
-    let mut ops = Vec::with_capacity(SCRIPT_OPS);
-    // migration round-trip: away at one third, home at two thirds — pins
-    // straddle both hops
-    let away = if home == Architecture::HazyMem { Architecture::NaiveDisk } else { Architecture::HazyMem };
-    for i in 0..SCRIPT_OPS {
-        if i == SCRIPT_OPS / 3 {
-            ops.push(Op::Migrate(away, mode));
-            continue;
-        }
-        if i == 2 * SCRIPT_OPS / 3 {
-            ops.push(Op::Migrate(home, mode));
-            continue;
-        }
-        let roll = splitmix64(&mut r) % 100;
-        let op = if roll < 40 {
-            let n = 1 + (splitmix64(&mut r) % 3) as usize;
-            let batch = (0..n)
-                .map(|_| {
-                    let f = feature(&mut r);
-                    let y = if splitmix64(&mut r).is_multiple_of(2) { 1 } else { -1 };
-                    TrainingExample::new(0, f, y)
-                })
-                .collect();
-            Op::Update(batch)
-        } else if roll < 48 {
-            // mostly fresh ids; sometimes resurrect a removed one so the
-            // overlay's removed/added interaction is exercised
-            let id = if !dead.is_empty() && splitmix64(&mut r).is_multiple_of(3) {
-                dead.swap_remove((splitmix64(&mut r) as usize) % dead.len())
-            } else {
-                next_id += 1;
-                ever.push(next_id);
-                next_id
-            };
-            live.push(id);
-            Op::Insert(Entity::new(id, feature(&mut r)))
-        } else if roll < 54 && live.len() > 8 {
-            let idx = (splitmix64(&mut r) as usize) % live.len();
-            let id = live.swap_remove(idx);
-            dead.push(id);
-            Op::Remove(id)
-        } else if roll < 74 {
-            Op::Read(live[(splitmix64(&mut r) as usize) % live.len()])
-        } else if roll < 82 {
-            Op::Count
-        } else if roll < 89 {
-            Op::Members
-        } else if roll < 97 {
-            Op::TopK(1 + (splitmix64(&mut r) % 9) as usize)
-        } else {
-            Op::Reorg
-        };
-        ops.push(op);
+fn shape(home: Architecture, mode: Mode) -> Shape {
+    let away =
+        if home == Architecture::HazyMem { Architecture::NaiveDisk } else { Architecture::HazyMem };
+    Shape {
+        salt: 0x17E2_11EA_0000_0001,
+        corpus: 0x00E1_7A11,
+        ops: 520,
+        population: 72,
+        first_fresh_id: 10_001,
+        mix: Mix { update: 40, insert: 8, remove: 6, read: 20, count: 8, members: 7, top_k: 8 },
+        top_k_mod: 9,
+        pinned: vec![(520 / 3, Op::SetArch(away, mode)), (2 * 520 / 3, Op::SetArch(home, mode))],
     }
-    (ops, ever)
 }
 
-/// What the oracle answered immediately after a given script prefix.
-struct OracleState {
-    count: u64,
-    members: Vec<u64>,
-    top_k: Vec<(u64, f64)>,
-    labels: HashMap<u64, Option<Label>>,
-    model: LinearModel,
-}
-
-fn apply(b: &ViewBuilder, v: &mut Box<dyn DurableClassifierView + Send>, op: &Op) {
+/// One script step on a plain view. A migration here is the core-level
+/// one (what `AdaptiveView` drives): export, rebuild as the target, adopt
+/// the carried counters — answer-invisible to the oracle and to every
+/// pinned reader.
+fn step(b: &ViewBuilder, v: &mut BoxedView, op: &Op) {
     match op {
-        Op::Update(batch) => v.update_batch(batch),
-        Op::Insert(e) => v.insert_entity(e.clone()),
-        Op::Remove(id) => {
-            let _ = v.remove_entity(*id);
-        }
-        Op::Read(id) => {
-            let _ = v.read_single(*id);
-        }
-        Op::Count => {
-            let _ = v.count_positive();
-        }
-        Op::Members => {
-            let _ = v.positive_ids();
-        }
-        Op::TopK(k) => {
-            let _ = v.top_k(*k);
-        }
-        Op::Reorg => v.reorganize(),
-        Op::Migrate(arch, mode) => {
-            // the core-level live migration (what AdaptiveView drives):
-            // export, rebuild as the target, adopt the carried counters —
-            // answers preserved bit-exactly
+        Op::SetArch(arch, mode) => {
             let clock = v.clock().clone();
             let state = v.export_migration().expect("plain views export migration state");
             *v = b.build_migrated(*arch, *mode, state, clock);
         }
-    }
-}
-
-fn probe(v: &mut (dyn DurableClassifierView + Send), ever: &[u64]) -> OracleState {
-    let mut members = v.positive_ids();
-    members.sort_unstable();
-    OracleState {
-        count: v.count_positive(),
-        members,
-        top_k: v.top_k(TOP_K),
-        labels: ever.iter().map(|&id| (id, v.read_single(id))).collect(),
-        model: v.model().clone(),
+        _ => apply(v.as_mut(), op),
     }
 }
 
 /// Precomputes `oracle[k]` = answers after the first `k` ops, for every k.
-fn oracle_states(b: &ViewBuilder, ops: &[Op], ever: &[u64]) -> Vec<OracleState> {
-    let mut v = b.build(base_entities(), &[]);
+fn oracle_states(b: &ViewBuilder, shape: &Shape, ops: &[Op], ever: &[u64]) -> Vec<OracleState> {
+    let mut v = b.build(shape.base_entities(), &[]);
     let mut states = Vec::with_capacity(ops.len() + 1);
-    states.push(probe(v.as_mut(), ever));
+    states.push(probe(v.as_mut(), ever, TOP_K));
     for op in ops {
-        apply(b, &mut v, op);
-        states.push(probe(v.as_mut(), ever));
+        step(b, &mut v, op);
+        states.push(probe(v.as_mut(), ever, TOP_K));
     }
     states
-}
-
-fn assert_model_bits(a: &LinearModel, b: &LinearModel, ctx: &str) {
-    assert_eq!(a.b.to_bits(), b.b.to_bits(), "{ctx}: bias diverged");
-    let (wa, wb) = (a.w.to_vec(), b.w.to_vec());
-    assert_eq!(wa.len(), wb.len(), "{ctx}: dim diverged");
-    for (i, (x, y)) in wa.iter().zip(wb.iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: weight {i} diverged");
-    }
 }
 
 /// The writer actor: applies one script op per step to the live view and
 /// mirrors it into the epoch publisher, exactly as the serving layer does.
 struct Writer {
     b: ViewBuilder,
-    view: Box<dyn DurableClassifierView + Send>,
+    view: BoxedView,
     publisher: EpochPublisher,
     ops: Vec<Op>,
     next: usize,
@@ -241,7 +104,7 @@ impl Writer {
     fn step(&mut self) {
         let op = self.ops[self.next].clone();
         self.next += 1;
-        apply(&self.b, &mut self.view, &op);
+        step(&self.b, &mut self.view, &op);
         match op {
             Op::Update(_) => {
                 let m = self.view.model().clone();
@@ -255,7 +118,7 @@ impl Writer {
             // reads (which may drive lazy maintenance) and migrations are
             // answer-invisible: the epoch stream advances in lockstep but
             // republishes unchanged answers
-            Op::Read(_) | Op::Count | Op::Members | Op::TopK(_) | Op::Migrate(..) => {
+            Op::Read(_) | Op::Count | Op::Members | Op::TopK(_) | Op::SetArch(..) => {
                 self.publisher.apply_noop()
             }
         }
@@ -301,7 +164,7 @@ impl<'a> Reader<'a> {
                 let ctx = format!("{ctx}@lsn={lsn} (writer at {writer_lsn})");
                 assert_eq!(pin.count_positive(), want.count, "{ctx}: count_positive");
                 assert!(pin.entity_count() > 0, "{ctx}: population vanished");
-                assert_model_bits(pin.model(), &want.model, &ctx);
+                assert_models_bit_identical(pin.model(), &want.model, &ctx);
             }
             2 => {
                 let (pin, lsn) = self.pin.as_ref().expect("phase 2 holds a pin");
@@ -323,12 +186,7 @@ impl<'a> Reader<'a> {
                 let (pin, lsn) = self.pin.as_ref().expect("phase 4 holds a pin");
                 let want = &oracle[*lsn as usize];
                 let ctx = format!("{ctx}@lsn={lsn} (writer at {writer_lsn})");
-                let got = pin.top_k(TOP_K);
-                assert_eq!(got.len(), want.top_k.len(), "{ctx}: top_k length");
-                for (i, ((ga, gm), (wa, wm))) in got.iter().zip(want.top_k.iter()).enumerate() {
-                    assert_eq!(ga, wa, "{ctx}: top_k rank {i} id");
-                    assert_eq!(gm.to_bits(), wm.to_bits(), "{ctx}: top_k rank {i} margin");
-                }
+                assert_ranked_bit_identical(&pin.top_k(TOP_K), &want.top_k, &ctx);
             }
             _ => {
                 self.pin = None; // unpin: the epoch may now be reclaimed
@@ -342,14 +200,12 @@ impl<'a> Reader<'a> {
 fn run_config(arch: Architecture, mode: Mode) {
     let seed = seed();
     let ctx = format!("{}/{}/seed={seed}", arch.name(), mode.name());
-    let (ops, ever) = script(seed, arch, mode);
-    let b = ViewBuilder::new(arch, mode)
-        .norm_pair(NormPair::EUCLIDEAN)
-        .overheads(OpOverheads::free())
-        .dim(3);
-    let oracle = oracle_states(&b, &ops, &ever);
+    let shape = shape(arch, mode);
+    let (ops, ever) = script(seed, &shape);
+    let b = builder(arch, mode);
+    let oracle = oracle_states(&b, &shape, &ops, &ever);
 
-    let mut view = b.build(base_entities(), &[]);
+    let mut view = b.build(shape.base_entities(), &[]);
     let (entities, model) = view.snapshot_state().expect("every architecture snapshots");
     let publisher = EpochPublisher::new(entities, model, NormPair::EUCLIDEAN, 0);
     let cell = publisher.handle();

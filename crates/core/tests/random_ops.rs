@@ -6,12 +6,9 @@
 //! incremental machinery (watermarks, Skiing reorganizations, clustered
 //! storage, ε-maps) must be observationally invisible.
 
-use hazy_core::{
-    Architecture, DurableClassifierView, Entity, Mode, OpOverheads, ViewBuilder,
-    WatermarkPolicy,
-};
+use hazy_core::{Architecture, Entity, Mode, WatermarkPolicy};
 use hazy_learn::TrainingExample;
-use hazy_linalg::FeatureVec;
+use hazy_testkit::{builder, grid_entities, grid_feature, BoxedView};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -38,23 +35,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn grid_feature(a: u8, b: u8) -> FeatureVec {
-    FeatureVec::dense(vec![f32::from(a) / 255.0 - 0.5, f32::from(b) / 255.0 - 0.5, 1.0])
-}
-
-fn base_entities(n: usize) -> Vec<Entity> {
-    (0..n)
-        .map(|k| Entity::new(k as u64, grid_feature((k * 37 % 256) as u8, (k * 91 % 256) as u8)))
-        .collect()
-}
-
-fn build(arch: Architecture, mode: Mode, policy: WatermarkPolicy) -> Box<dyn DurableClassifierView + Send> {
-    ViewBuilder::new(arch, mode)
-        .norm_pair(hazy_linalg::NormPair::EUCLIDEAN)
-        .overheads(OpOverheads::free())
-        .watermark_policy(policy)
-        .dim(3)
-        .build(base_entities(60), &[])
+fn build(arch: Architecture, mode: Mode, policy: WatermarkPolicy) -> BoxedView {
+    builder(arch, mode).watermark_policy(policy).build(grid_entities(60), &[])
 }
 
 proptest! {
@@ -67,7 +49,7 @@ proptest! {
     ) {
         let _ = alpha_kind;
         let mut reference = build(Architecture::NaiveMem, Mode::Eager, WatermarkPolicy::Monotone);
-        let mut candidates: Vec<Box<dyn DurableClassifierView + Send>> = vec![
+        let mut candidates: Vec<BoxedView> = vec![
             build(Architecture::HazyMem, Mode::Eager, WatermarkPolicy::Monotone),
             build(Architecture::HazyMem, Mode::Lazy, WatermarkPolicy::Monotone),
             build(Architecture::HazyMem, Mode::Eager, WatermarkPolicy::Window2),

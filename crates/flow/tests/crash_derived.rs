@@ -15,17 +15,15 @@
 //! deterministic seed matrix.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
-use hazy_core::{
-    Architecture, ClassifierView, CoreRestorer, DurableClassifierView, DurableView, Entity, Mode,
-    OpOverheads, ViewBuilder, ViewRestorer,
-};
+use hazy_core::{Architecture, ClassifierView, Entity, Mode, ViewBuilder};
 use hazy_flow::{Dataflow, Delta, NodeId, RowAction, ViewSink};
 use hazy_learn::TrainingExample;
-use hazy_linalg::{FeatureVec, NormPair};
-use hazy_serve::{ServeRestorer, ShardedView};
-use hazy_storage::{DurableImage, DurableStore, WalReader};
+use hazy_linalg::FeatureVec;
+use hazy_testkit::{
+    assert_answers_match, assert_models_bit_identical, assert_stats_match, boundaries, build_plain,
+    durable_run, recover, restorer, seed, Op, PrefixOracle,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,46 +32,23 @@ type Row = Vec<f64>;
 const BASE_OPS: usize = 70;
 const CKPT_INTERVAL: u64 = 16;
 const JK_SPACE: i64 = 6;
+/// Ranked-read depth of the differential probe.
+const TOP_K: usize = 5;
 
-fn seed() -> u64 {
-    std::env::var("HAZY_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
-}
-
-/// One WAL-record-sized engine operation, derived from a sink action.
-#[derive(Clone, Debug)]
-enum EngineOp {
-    Insert(Entity),
-    Train(TrainingExample),
-    Remove(u64),
-}
-
-fn apply(v: &mut (dyn DurableClassifierView + Send), op: &EngineOp) {
-    match op {
-        EngineOp::Insert(e) => v.insert_entity(e.clone()),
-        EngineOp::Train(ex) => v.update(ex),
-        EngineOp::Remove(id) => {
-            let _ = v.remove_entity(*id);
-        }
-    }
-}
-
-/// Lowers a sink action to its engine-op records (an arriving labeled row
-/// is two records: the entity insert, then the training step).
-fn lower(action: &RowAction<Row>) -> Vec<EngineOp> {
+/// Lowers a sink action to its WAL-record-sized engine ops (an arriving
+/// labeled row is two records: the entity insert, then the training step).
+fn lower(action: &RowAction<Row>) -> Vec<Op> {
     match action {
         RowAction::Insert { id, row } => {
             let f = FeatureVec::dense([row[1] as f32, row[2] as f32]);
-            let mut ops = vec![EngineOp::Insert(Entity::new(*id, f.clone()))];
+            let mut ops = vec![Op::Insert(Entity::new(*id, f.clone()))];
             if row[3] != 0.0 {
-                ops.push(EngineOp::Train(TrainingExample::new(
-                    *id,
-                    f,
-                    if row[3] > 0.0 { 1 } else { -1 },
-                )));
+                let y = if row[3] > 0.0 { 1 } else { -1 };
+                ops.push(Op::Update(vec![TrainingExample::new(*id, f, y)]));
             }
             ops
         }
-        RowAction::Remove { id } => vec![EngineOp::Remove(*id)],
+        RowAction::Remove { id } => vec![Op::Remove(*id)],
     }
 }
 
@@ -103,7 +78,7 @@ fn pipeline() -> (Dataflow<Row>, NodeId, NodeId, NodeId) {
 
 /// Runs the random base-op script through the pipeline once and returns
 /// the flat engine-op stream plus every id that ever appeared.
-fn engine_op_stream(seed: u64) -> (Vec<EngineOp>, Vec<u64>) {
+fn engine_op_stream(seed: u64) -> (Vec<Op>, Vec<u64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut graph, src_a, src_b, sink) = pipeline();
     let mut entity_sink = ViewSink::new(|r: &Row| r[0] as u64);
@@ -179,108 +154,52 @@ fn engine_op_stream(seed: u64) -> (Vec<EngineOp>, Vec<u64>) {
     (ops, ids)
 }
 
+/// The kit's configuration over the pipeline's 2-dimensional rows.
 fn builder(arch: Architecture, mode: Mode) -> ViewBuilder {
-    ViewBuilder::new(arch, mode)
-        .norm_pair(NormPair::EUCLIDEAN)
-        .overheads(OpOverheads::free())
-        .dim(2)
-}
-
-fn build_plain(b: &ViewBuilder, shards: usize) -> Box<dyn DurableClassifierView + Send> {
-    if shards <= 1 {
-        b.build(Vec::new(), &[])
-    } else {
-        Box::new(ShardedView::build(b, shards, Vec::new(), &[]))
-    }
+    hazy_testkit::builder(arch, mode).dim(2)
 }
 
 fn pick<'m>(rng: &mut StdRng, m: &'m BTreeMap<i64, Row>) -> &'m i64 {
     m.keys().nth(rng.gen_range(0..m.len())).unwrap()
 }
 
-fn assert_models_bit_identical(
-    a: &hazy_learn::LinearModel,
-    b: &hazy_learn::LinearModel,
-    ctx: &str,
-) {
-    assert_eq!(a.b.to_bits(), b.b.to_bits(), "{ctx}: bias diverged");
-    let (wa, wb) = (a.w.to_vec(), b.w.to_vec());
-    assert_eq!(wa.len(), wb.len(), "{ctx}: weight dim diverged");
-    for (i, (x, y)) in wa.iter().zip(wb.iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: weight {i} diverged");
-    }
-}
-
-fn assert_answers_match(
-    recovered: &mut dyn ClassifierView,
-    probe: &mut (dyn DurableClassifierView + Send),
-    ids: &[u64],
-    ctx: &str,
-) {
-    assert_eq!(recovered.entity_count(), probe.entity_count(), "{ctx}: entity_count");
-    assert_eq!(recovered.count_positive(), probe.count_positive(), "{ctx}: count_positive");
-    let mut got = recovered.positive_ids();
-    let mut want = probe.positive_ids();
-    got.sort_unstable();
-    want.sort_unstable();
-    assert_eq!(got, want, "{ctx}: positive_ids");
-    for &id in ids {
-        assert_eq!(recovered.read_single(id), probe.read_single(id), "{ctx}: classify({id})");
-    }
-}
-
 fn run_config(arch: Architecture, mode: Mode, shards: usize) {
     let seed = seed();
     let (ops, ids) = engine_op_stream(seed);
     assert!(
-        ops.iter().any(|o| matches!(o, EngineOp::Remove(_))),
+        ops.iter().any(|o| matches!(o, Op::Remove(_))),
         "script must exercise retractions (seed {seed})"
     );
     let b = builder(arch, mode);
-    let restorer: &dyn ViewRestorer = if shards <= 1 { &CoreRestorer } else { &ServeRestorer };
+    // the derived view starts empty: every entity arrives through the join
+    let build = || build_plain(&b, shards, Vec::new());
     let ctx_base = format!("{}/{}/shards={shards}/seed={seed}", arch.name(), mode.name());
 
-    // ---- durable run: a crash image at every WAL record boundary
-    let inner = build_plain(&b, shards);
-    let store = Arc::new(Mutex::new(DurableStore::new(inner.clock().clone())));
-    let mut dv = DurableView::create(inner, store, CKPT_INTERVAL);
-    let mut images: Vec<DurableImage> = Vec::with_capacity(ops.len() + 1);
-    images.push(dv.durable_image());
-    for op in &ops {
-        apply(&mut dv, op);
-        images.push(dv.durable_image());
-    }
+    let images = durable_run(build(), CKPT_INTERVAL, &ops);
+    // `clean` for exact stats/model, `probe` additionally serving the
+    // differential reads
+    let mut clean = PrefixOracle::new(&ops, build());
+    let mut probe = PrefixOracle::new(&ops, build());
 
-    // ---- oracles advanced along the durable prefix: `clean` for exact
-    // stats/model, `probe` additionally serving the differential reads
-    let mut clean = build_plain(&b, shards);
-    let mut probe = build_plain(&b, shards);
-    let mut applied = 0usize;
-
-    for (boundary, image) in images.iter().enumerate() {
-        let durable_ops = WalReader::new(image.wal_bytes()).count();
+    for (boundary, image, durable_ops) in boundaries(&images) {
         assert_eq!(durable_ops, boundary, "{ctx_base}: one WAL record per engine op");
-        while applied < durable_ops {
-            apply(clean.as_mut(), &ops[applied]);
-            apply(probe.as_mut(), &ops[applied]);
-            applied += 1;
-        }
-        let mut recovered = DurableView::recover_image(&b, image, CKPT_INTERVAL, restorer)
-            .unwrap_or_else(|e| panic!("{ctx_base}: recovery at boundary {boundary} failed: {e}"));
+        clean.advance_to(durable_ops);
+        probe.advance_to(durable_ops);
         let ctx = format!("{ctx_base}@{boundary}");
-        if shards <= 1 {
-            assert_eq!(recovered.stats(), clean.stats(), "{ctx}: ViewStats diverged");
-        } else {
-            assert_eq!(recovered.stats().updates, clean.stats().updates, "{ctx}: updates");
-        }
-        assert_models_bit_identical(recovered.model(), clean.model(), &ctx);
+        let mut recovered = recover(&b, image, CKPT_INTERVAL, restorer(shards), &ctx);
+        assert_stats_match(&recovered.stats(), &clean.view.stats(), shards, &ctx);
+        assert_models_bit_identical(recovered.model(), clean.view.model(), &ctx);
         if boundary % 5 == 0 || boundary == images.len() - 1 {
-            assert_answers_match(&mut recovered, probe.as_mut(), &ids, &ctx);
+            assert_answers_match(&mut recovered, probe.view.as_mut(), &ids, TOP_K, &ctx);
         } else {
-            assert_eq!(recovered.entity_count(), probe.entity_count(), "{ctx}: entity_count");
+            assert_eq!(
+                recovered.entity_count(),
+                probe.view.entity_count(),
+                "{ctx}: entity_count"
+            );
         }
     }
-    assert_eq!(applied, ops.len(), "{ctx_base}: stream fully replayed");
+    assert_eq!(clean.applied(), ops.len(), "{ctx_base}: stream fully replayed");
 }
 
 macro_rules! crash_matrix {

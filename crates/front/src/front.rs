@@ -688,9 +688,6 @@ fn serve_writes(jobs: Vec<Job>, stats: &StatsInner, sink: &mut impl WriteSink) {
 }
 
 /// The engine lane: one thread, one queue, any [`DurableClassifierView`].
-/// Reads are answered from the engine in arrival order (its `read_single`
-/// is stateful — lazy modes do maintenance on read, exactly as inside the
-/// RDBMS); `Train` runs coalesce the same way as in the write lane.
 fn engine_lane(
     mut engine: Box<dyn DurableClassifierView + Send>,
     q: Arc<Bounded<Job>>,
@@ -703,39 +700,105 @@ fn engine_lane(
         stats.read_batches.fetch_add(1, Ordering::Relaxed);
         stats.batched_reads.fetch_add(jobs.len() as u64, Ordering::Relaxed);
         fetch_max(&stats.max_read_batch, jobs.len() as u64);
-        // split serving: reads answered inline, writes via the shared walk
-        let mut writes = Vec::new();
-        for job in jobs {
-            match &job.req {
-                Request::Classify { id } => {
-                    let id = *id;
-                    let resp =
-                        guarded(&stats, "classify", || Response::Label(engine.read_single(id)));
-                    complete(job, resp, &stats);
-                }
-                Request::CountPositive => {
-                    let resp =
-                        guarded(&stats, "count", || Response::Count(engine.count_positive()));
-                    complete(job, resp, &stats);
-                }
-                Request::TopK { k } => {
-                    let k = *k as usize;
-                    let resp = guarded(&stats, "top_k", || Response::Ranked(engine.top_k(k)));
-                    complete(job, resp, &stats);
-                }
-                _ => writes.push(job),
-            }
-        }
-        if !writes.is_empty() {
-            serve_writes(writes, &stats, &mut engine);
-        }
+        serve_engine_batch(&mut engine, jobs, &stats);
         observe_batch(&stats, &q, batch_len, t0_ns, LANE_ENGINE);
     }
+}
+
+/// Serves one drained engine-lane batch in arrival order. Reads are
+/// answered from the engine inline (its `read_single` is stateful — lazy
+/// modes do maintenance on read, exactly as inside the RDBMS); the writes
+/// queued ahead of a read are applied before it, so a pipelined
+/// `[Train, Classify]` reads post-`Train` state. Between reads, `Train`
+/// runs coalesce the same way as in the write lane.
+fn serve_engine_batch(
+    engine: &mut Box<dyn DurableClassifierView + Send>,
+    jobs: Vec<Job>,
+    stats: &StatsInner,
+) {
+    let mut writes = Vec::new();
+    for job in jobs {
+        if !job.req.is_read() {
+            writes.push(job);
+            continue;
+        }
+        serve_writes(std::mem::take(&mut writes), stats, engine);
+        let resp = match job.req {
+            Request::Classify { id } => {
+                guarded(stats, "classify", || Response::Label(engine.read_single(id)))
+            }
+            Request::CountPositive => {
+                guarded(stats, "count", || Response::Count(engine.count_positive()))
+            }
+            Request::TopK { k } => {
+                guarded(stats, "top_k", || Response::Ranked(engine.top_k(k as usize)))
+            }
+            _ => unreachable!("is_read() is exactly the three read requests"),
+        };
+        complete(job, resp, stats);
+    }
+    serve_writes(writes, stats, engine);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `[Train, Classify, Train, Train, Count]` drained as one batch: each
+    /// read sees every write queued ahead of it and none queued behind.
+    #[test]
+    fn engine_batch_reads_see_the_writes_queued_ahead_of_them() {
+        use hazy_core::{Architecture, Mode, ViewBuilder};
+        use hazy_learn::TrainingExample;
+        use hazy_linalg::FeatureVec;
+
+        let f = FeatureVec::dense(vec![1.0, 0.5]);
+        let build = || {
+            ViewBuilder::new(Architecture::HazyMem, Mode::Eager)
+                .build(vec![Entity::new(7, f.clone())], &[])
+        };
+        // the reference: the same statements applied directly, in order
+        let mut reference = build();
+        let before = reference.read_single(7).expect("entity 7 exists");
+        let flip = |y| vec![TrainingExample::new(0, f.clone(), y); 4];
+        reference.update_batch(&flip(-before));
+        assert_eq!(reference.read_single(7), Some(-before), "training must flip the label");
+        reference.update_batch(&flip(before));
+        reference.update_batch(&flip(before));
+        let after = reference.count_positive();
+        assert_eq!(reference.read_single(7), Some(before), "and flip it back");
+
+        let reqs = [
+            Request::Train { batch: flip(-before) },
+            Request::Classify { id: 7 },
+            Request::Train { batch: flip(before) },
+            Request::Train { batch: flip(before) },
+            Request::CountPositive,
+        ];
+        let tickets: Vec<Ticket> = reqs.iter().map(|_| Ticket { slot: Slot::new() }).collect();
+        let jobs = reqs
+            .iter()
+            .zip(&tickets)
+            .map(|(req, t)| Job { req: req.clone(), slot: Arc::clone(&t.slot), t0_ns: 0 })
+            .collect();
+        let stats = StatsInner::default();
+        let mut engine = build();
+        serve_engine_batch(&mut engine, jobs, &stats);
+        let got: Vec<Response> = tickets.into_iter().map(Ticket::wait).collect();
+        assert_eq!(
+            got,
+            [
+                Response::Done { applied: 4 },
+                Response::Label(Some(-before)),
+                Response::Done { applied: 4 },
+                Response::Done { applied: 4 },
+                Response::Count(after),
+            ]
+        );
+        // the two adjacent Train requests still coalesced into one round
+        assert_eq!(engine.stats().updates, reference.stats().updates);
+        assert_eq!(stats.completed.load(Ordering::Relaxed), 5);
+    }
 
     #[test]
     fn retry_hint_is_monotone_in_queue_depth() {

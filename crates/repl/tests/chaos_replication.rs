@@ -16,187 +16,96 @@
 //!
 //! [`ViewStats`]: hazy_core::ViewStats
 
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
 
-use hazy_core::{
-    Architecture, ClassifierView, CoreRestorer, DurableClassifierView, DurableView, Entity, Mode,
-    OpOverheads, ViewBuilder, ViewRestorer,
-};
-use hazy_learn::TrainingExample;
-use hazy_linalg::{FeatureVec, NormPair};
+use hazy_core::{Architecture, ClassifierView, Mode, ViewBuilder, ViewRestorer};
 use hazy_repl::{FaultPlan, GroupConfig, ReplicaView, ReplicationGroup, ShipFault};
-use hazy_serve::{ServeRestorer, ShardedView};
-use hazy_storage::DurableStore;
+use hazy_testkit::{
+    apply, assert_answers_match, assert_models_bit_identical, assert_ranked_bit_identical,
+    assert_stats_match, build_plain, builder, durable, restorer, script, seed, BoxedView, Mix, Op, PrefixOracle, Shape,
+};
+use hazy_tune::{build_sharded_adaptive, AdvisorConfig, TuneRestorer};
 
-/// Operations per script — the acceptance floor is 500.
-const SCRIPT_OPS: usize = 520;
 const CKPT_INTERVAL: u64 = 48;
-const N_ENTITIES: usize = 72;
+/// Ranked-read depth of the differential probes.
+const TOP_K: usize = 7;
 
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn seed() -> u64 {
-    std::env::var("HAZY_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
-}
-
-#[derive(Clone, Debug)]
-enum Op {
-    Update(Vec<TrainingExample>),
-    Insert(Entity),
-    Read(u64),
-    Count,
-    Members,
-    TopK(usize),
-    Reorg,
-}
-
-fn feature(r: &mut u64) -> FeatureVec {
-    let a = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    let b = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    FeatureVec::dense(vec![a, b, 1.0])
-}
-
-fn base_entities() -> Vec<Entity> {
-    let mut r = 0x00E1_7A11_u64;
-    (0..N_ENTITIES).map(|k| Entity::new(k as u64, feature(&mut r))).collect()
-}
-
-/// Generates a concrete script (ids resolved) so the replicated run and
-/// every oracle apply byte-identical operations.
-fn script(seed: u64) -> (Vec<Op>, Vec<u64>) {
-    let mut r = seed ^ 0x5C21_97A3_0000_0001;
-    let mut population: Vec<u64> = (0..N_ENTITIES as u64).collect();
-    let mut next_id = 10_000u64;
-    let mut ops = Vec::with_capacity(SCRIPT_OPS);
-    for _ in 0..SCRIPT_OPS {
-        let roll = splitmix64(&mut r) % 100;
-        let op = if roll < 45 {
-            let n = 1 + (splitmix64(&mut r) % 3) as usize;
-            let batch = (0..n)
-                .map(|_| {
-                    let f = feature(&mut r);
-                    let y = if splitmix64(&mut r).is_multiple_of(2) { 1 } else { -1 };
-                    TrainingExample::new(0, f, y)
-                })
-                .collect();
-            Op::Update(batch)
-        } else if roll < 53 {
-            let e = Entity::new(next_id, feature(&mut r));
-            next_id += 1;
-            population.push(e.id);
-            Op::Insert(e)
-        } else if roll < 78 {
-            let idx = (splitmix64(&mut r) as usize) % population.len();
-            Op::Read(population[idx])
-        } else if roll < 86 {
-            Op::Count
-        } else if roll < 93 {
-            Op::Members
-        } else if roll < 98 {
-            Op::TopK(1 + (splitmix64(&mut r) % 9) as usize)
-        } else {
-            Op::Reorg
-        };
-        ops.push(op);
-    }
-    (ops, population)
-}
-
-fn apply(v: &mut (dyn DurableClassifierView + Send), op: &Op) {
-    match op {
-        Op::Update(batch) => v.update_batch(batch),
-        Op::Insert(e) => v.insert_entity(e.clone()),
-        Op::Read(id) => {
-            let _ = v.read_single(*id);
-        }
-        Op::Count => {
-            let _ = v.count_positive();
-        }
-        Op::Members => {
-            let _ = v.positive_ids();
-        }
-        Op::TopK(k) => {
-            let _ = v.top_k(*k);
-        }
-        Op::Reorg => v.reorganize(),
-    }
-}
-
-fn builder(arch: Architecture, mode: Mode) -> ViewBuilder {
-    ViewBuilder::new(arch, mode)
-        .norm_pair(NormPair::EUCLIDEAN)
-        .overheads(OpOverheads::free())
-        .dim(3)
-}
-
-fn build_plain(b: &ViewBuilder, shards: usize) -> Box<dyn DurableClassifierView + Send> {
-    if shards <= 1 {
-        b.build(base_entities(), &[])
-    } else {
-        Box::new(ShardedView::build(b, shards, base_entities(), &[]))
-    }
-}
-
-fn make_group(
-    b: &ViewBuilder,
+/// What one matrix row replicates: the primary's deployment (the oracle is
+/// the same deployment, minus durability and replication) and its script.
+struct Deployment {
+    label: String,
+    b: ViewBuilder,
+    shape: Shape,
     shards: usize,
-    replicas: usize,
-    plan: FaultPlan,
-    seed: u64,
-) -> ReplicationGroup {
-    let restorer: &'static dyn ViewRestorer =
-        if shards <= 1 { &CoreRestorer } else { &ServeRestorer };
-    let inner = build_plain(b, shards);
-    let store = Arc::new(Mutex::new(DurableStore::new(inner.clock().clone())));
-    let dv = DurableView::create(inner, store, CKPT_INTERVAL);
-    let cfg = GroupConfig {
-        replicas,
-        max_lag: 6,
-        interval: CKPT_INTERVAL,
-        chunk_frames: 3,
-        seed,
-    };
-    ReplicationGroup::new(b.clone(), dv, cfg, plan, restorer).expect("bootstrap")
+    /// Every shard wrapped in an `AdaptiveView` (manual advisor: the script
+    /// orders the migrations).
+    adaptive: bool,
 }
 
-fn assert_models_bit_identical(a: &hazy_learn::LinearModel, b: &hazy_learn::LinearModel, ctx: &str) {
-    assert_eq!(a.b.to_bits(), b.b.to_bits(), "{ctx}: bias diverged");
-    let (wa, wb) = (a.w.to_vec(), b.w.to_vec());
-    assert_eq!(wa.len(), wb.len(), "{ctx}: weight dim diverged");
-    for (i, (x, y)) in wa.iter().zip(wb.iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: weight {i} diverged");
+impl Deployment {
+    fn plain(arch: Architecture, mode: Mode, shards: usize) -> Deployment {
+        let label = format!("{}/{}/shards={shards}", arch.name(), mode.name());
+        let shape = Shape::CRASH_520;
+        Deployment { label, b: builder(arch, mode), shape, shards, adaptive: false }
     }
-}
 
-/// Full differential probe against the durable-prefix oracle: count, scan,
-/// rank, classify every live entity — answers must match bit-for-bit.
-fn assert_answers_match(
-    got: &mut dyn ClassifierView,
-    oracle: &mut (dyn DurableClassifierView + Send),
-    population: &[u64],
-    ctx: &str,
-) {
-    assert_eq!(got.count_positive(), oracle.count_positive(), "{ctx}: count_positive");
-    let (mut g, mut w) = (got.positive_ids(), oracle.positive_ids());
-    g.sort_unstable();
-    w.sort_unstable();
-    assert_eq!(g, w, "{ctx}: scan_positive");
-    let (gk, wk) = (got.top_k(7), oracle.top_k(7));
-    assert_eq!(gk.len(), wk.len(), "{ctx}: top_k length");
-    for ((id_a, m_a), (id_b, m_b)) in gk.iter().zip(wk.iter()) {
-        assert_eq!(id_a, id_b, "{ctx}: top_k order");
-        assert_eq!(m_a.to_bits(), m_b.to_bits(), "{ctx}: top_k margin");
+    /// The composed stack: 3 adaptive shards that migrate away at one third
+    /// of the script and home at two thirds (each a logged, shipped,
+    /// replayed `MIGRATE` record), under a mix that also retracts entities.
+    fn sharded_adaptive() -> Deployment {
+        let (home, away) =
+            ((Architecture::HazyMem, Mode::Eager), (Architecture::HazyDisk, Mode::Lazy));
+        let base = Shape::CRASH_520;
+        let shape = Shape {
+            mix: Mix { update: 45, insert: 8, remove: 6, read: 19, count: 8, members: 7, top_k: 5 },
+            pinned: vec![
+                (base.ops / 3, Op::SetArch(away.0, away.1)),
+                (2 * base.ops / 3, Op::SetArch(home.0, home.1)),
+            ],
+            ..base
+        };
+        let label = "sharded-adaptive/shards=3".to_string();
+        Deployment { label, b: builder(home.0, home.1), shape, shards: 3, adaptive: true }
     }
-    for &id in population {
-        assert_eq!(got.read_single(id), oracle.read_single(id), "{ctx}: classify({id})");
+
+    fn build(&self) -> BoxedView {
+        let entities = self.shape.base_entities();
+        if self.adaptive {
+            let cfg = AdvisorConfig::manual();
+            Box::new(build_sharded_adaptive(&self.b, cfg, self.shards, entities, &[]))
+        } else {
+            build_plain(&self.b, self.shards, entities)
+        }
     }
-    assert_eq!(got.read_single(u64::MAX - 7), None, "{ctx}: ghost id");
+
+    fn group(&self, replicas: usize, plan: FaultPlan, seed: u64) -> ReplicationGroup {
+        let restorer: &'static dyn ViewRestorer =
+            if self.adaptive { &TuneRestorer } else { restorer(self.shards) };
+        let cfg = GroupConfig {
+            replicas,
+            max_lag: 6,
+            interval: CKPT_INTERVAL,
+            chunk_frames: 3,
+            seed,
+        };
+        let primary = durable(self.build(), CKPT_INTERVAL);
+        ReplicationGroup::new(self.b.clone(), primary, cfg, plan, restorer).expect("bootstrap")
+    }
+
+    /// The promoted primary against a clean execution of what survived:
+    /// stats, model bits, every answer.
+    fn assert_promoted_matches(
+        &self,
+        promoted: &mut dyn ClassifierView,
+        clean: &mut dyn ClassifierView,
+        population: &[u64],
+        ctx: &str,
+    ) {
+        assert_stats_match(&promoted.stats(), &clean.stats(), self.shards, ctx);
+        assert_eq!(clean.stats().migrations > 0, self.adaptive, "{ctx}: scripted migrations ran");
+        assert_models_bit_identical(promoted.model(), clean.model(), ctx);
+        assert_answers_match(promoted, clean, population, TOP_K, ctx);
+    }
 }
 
 /// Serving probe for a live (not promoted) replica: answers at its applied
@@ -204,7 +113,7 @@ fn assert_answers_match(
 /// model only through replayed records.
 fn assert_replica_serves_prefix(
     replica: &mut ReplicaView,
-    oracle: &mut (dyn DurableClassifierView + Send),
+    oracle: &mut dyn ClassifierView,
     population: &[u64],
     ctx: &str,
 ) {
@@ -214,11 +123,7 @@ fn assert_replica_serves_prefix(
     g.sort_unstable();
     w.sort_unstable();
     assert_eq!(g, w, "{ctx}: scan_positive");
-    let (gk, wk) = (replica.top_k(7), oracle.top_k(7));
-    for ((id_a, m_a), (id_b, m_b)) in gk.iter().zip(wk.iter()) {
-        assert_eq!(id_a, id_b, "{ctx}: top_k order");
-        assert_eq!(m_a.to_bits(), m_b.to_bits(), "{ctx}: top_k margin");
-    }
+    assert_ranked_bit_identical(&replica.top_k(TOP_K), &oracle.top_k(TOP_K), ctx);
     for &id in population.iter().step_by(9) {
         assert_eq!(replica.read_single(id), oracle.read_single(id), "{ctx}: classify({id})");
     }
@@ -250,15 +155,13 @@ fn hostile_plan(until: u64) -> FaultPlan {
 /// a hostile transport, probe caught-up replicas against an incrementally
 /// advanced oracle, then fail over and diff the promoted replica against a
 /// clean execution of the durable prefix.
-fn run_chaos(arch: Architecture, mode: Mode, shards: usize, replicas: usize) {
+fn run_chaos(d: &Deployment, replicas: usize) {
     let seed = seed();
-    let (ops, population) = script(seed);
-    let b = builder(arch, mode);
-    let ctx_base = format!("{}/{}/shards={shards}/seed={seed}", arch.name(), mode.name());
-    let mut group = make_group(&b, shards, replicas, hostile_plan(1400), seed);
+    let (ops, population) = script(seed, &d.shape);
+    let ctx_base = format!("{}/seed={seed}", d.label);
+    let mut group = d.group(replicas, hostile_plan(1400), seed);
 
-    let mut oracle = build_plain(&b, shards);
-    let mut advanced = 0usize;
+    let mut oracle = PrefixOracle::new(&ops, d.build());
     let mut probes = 0usize;
     for (i, op) in ops.iter().enumerate() {
         apply(group.primary_mut(), op);
@@ -273,14 +176,11 @@ fn run_chaos(arch: Architecture, mode: Mode, shards: usize, replicas: usize) {
             let target = group.primary_next_lsn();
             for ri in 0..group.replica_count() {
                 if group.replica(ri).next_lsn() == target {
-                    while advanced <= i {
-                        apply(oracle.as_mut(), &ops[advanced]);
-                        advanced += 1;
-                    }
+                    oracle.advance_to(i + 1);
                     let ctx = format!("{ctx_base}@op{i}/replica{ri}");
                     assert_replica_serves_prefix(
                         group.replica_mut(ri),
-                        oracle.as_mut(),
+                        oracle.view.as_mut(),
                         &population,
                         &ctx,
                     );
@@ -318,21 +218,10 @@ fn run_chaos(arch: Architecture, mode: Mode, shards: usize, replicas: usize) {
         "{ctx_base}: promoted replica too far behind ({prefix}/{})",
         ops.len()
     );
-    let mut clean = build_plain(&b, shards);
-    for op in &ops[..prefix] {
-        apply(clean.as_mut(), op);
-    }
+    let mut clean = PrefixOracle::new(&ops, d.build());
+    clean.advance_to(prefix);
     let ctx = format!("{ctx_base}@promoted/{prefix}");
-    let promoted = group.primary_mut();
-    if shards <= 1 {
-        assert_eq!(promoted.stats(), clean.stats(), "{ctx}: ViewStats diverged");
-    } else {
-        let (ps, cs) = (promoted.stats(), clean.stats());
-        assert_eq!(ps.updates, cs.updates, "{ctx}: update count diverged");
-        assert_eq!(ps.labels_changed, cs.labels_changed, "{ctx}: label flips diverged");
-    }
-    assert_models_bit_identical(promoted.model(), clean.model(), &ctx);
-    assert_answers_match(promoted, clean.as_mut(), &population, &ctx);
+    d.assert_promoted_matches(group.primary_mut(), clean.view.as_mut(), &population, &ctx);
 }
 
 macro_rules! chaos_matrix {
@@ -340,7 +229,7 @@ macro_rules! chaos_matrix {
         $(
             #[test]
             fn $name() {
-                run_chaos($arch, $mode, $shards, $replicas);
+                run_chaos(&Deployment::plain($arch, $mode, $shards), $replicas);
             }
         )*
     };
@@ -356,6 +245,19 @@ chaos_matrix! {
     hybrid_eager_sharded => (Architecture::Hybrid, Mode::Eager, 3, 2);
 }
 
+/// Folds `op` into the set of live ids; `false` for an `Insert` of an id
+/// that is already live.
+fn track(live: &mut HashSet<u64>, op: &Op) -> bool {
+    match op {
+        Op::Insert(e) => live.insert(e.id),
+        Op::Remove(id) => {
+            live.remove(id);
+            true
+        }
+        _ => true,
+    }
+}
+
 /// Primary crash mid-ship: the fault plan kills the primary at a shipment
 /// boundary while both replicas are stalled behind delayed shipments, the
 /// group auto-promotes the furthest-ahead replica, the logged tail past its
@@ -363,21 +265,28 @@ chaos_matrix! {
 /// on the new primary. The final state must equal a clean view that
 /// executed exactly the surviving operation sequence: the promoted prefix
 /// plus everything after the crash.
-fn run_primary_crash(arch: Architecture, mode: Mode, shards: usize) {
+fn run_primary_crash(d: &Deployment) {
     let seed = seed();
-    let (ops, population) = script(seed);
-    let b = builder(arch, mode);
-    let ctx = format!("primary-crash/{}/{}/shards={shards}/seed={seed}", arch.name(), mode.name());
+    let (ops, population) = script(seed, &d.shape);
+    let ctx = format!("primary-crash/{}/seed={seed}", d.label);
     // stall both replicas, then kill the primary on the catch-up shipment
     let plan = FaultPlan::none()
         .inject(400, ShipFault::Delay(6))
         .inject(401, ShipFault::Delay(6))
         .inject(402, ShipFault::PrimaryCrash);
-    let mut group = make_group(&b, shards, 2, plan, seed);
+    let mut group = d.group(2, plan, seed);
 
     let mut survived: Vec<usize> = Vec::with_capacity(ops.len());
     let mut crashes_seen = 0u64;
+    let base: HashSet<u64> = (0..d.shape.population as u64).collect();
+    let mut live = base.clone();
     for (i, op) in ops.iter().enumerate() {
+        // a Remove lost with the truncated tail leaves its id live, and
+        // re-inserting a live id is a caller error: the script's later
+        // resurrection of that id is dropped
+        if !track(&mut live, op) {
+            continue;
+        }
         apply(group.primary_mut(), op);
         survived.push(i);
         group.pump();
@@ -390,6 +299,10 @@ fn run_primary_crash(arch: Architecture, mode: Mode, shards: usize) {
                 "{ctx}: a crash behind stalled replicas must truncate the log"
             );
             survived.truncate(prefix);
+            live = base.clone();
+            for &idx in &survived {
+                track(&mut live, &ops[idx]);
+            }
         }
     }
     assert_eq!(crashes_seen, 1, "{ctx}: the injected primary crash never fired");
@@ -405,24 +318,33 @@ fn run_primary_crash(arch: Architecture, mode: Mode, shards: usize) {
         "{ctx}: survivor not re-pointed to the new primary"
     );
 
-    let mut clean = build_plain(&b, shards);
+    let mut clean = d.build();
     for &idx in &survived {
         apply(clean.as_mut(), &ops[idx]);
     }
-    let promoted = group.primary_mut();
-    if shards <= 1 {
-        assert_eq!(promoted.stats(), clean.stats(), "{ctx}: ViewStats diverged");
-    }
-    assert_models_bit_identical(promoted.model(), clean.model(), &ctx);
-    assert_answers_match(promoted, clean.as_mut(), &population, &ctx);
+    d.assert_promoted_matches(group.primary_mut(), clean.as_mut(), &population, &ctx);
 }
 
 #[test]
 fn primary_crash_mid_ship_fails_over_unsharded() {
-    run_primary_crash(Architecture::HazyMem, Mode::Lazy, 1);
+    run_primary_crash(&Deployment::plain(Architecture::HazyMem, Mode::Lazy, 1));
 }
 
 #[test]
 fn primary_crash_mid_ship_fails_over_sharded() {
-    run_primary_crash(Architecture::NaiveMem, Mode::Eager, 3);
+    run_primary_crash(&Deployment::plain(Architecture::NaiveMem, Mode::Eager, 3));
+}
+
+/// The composed stack — sharding + live migration + durability +
+/// replication + transport faults in one process — over the hostile
+/// transport, then through failover.
+#[test]
+fn sharded_adaptive_migrating_primary() {
+    run_chaos(&Deployment::sharded_adaptive(), 2);
+}
+
+/// The same stack with the primary killed mid-ship.
+#[test]
+fn primary_crash_mid_ship_fails_over_sharded_adaptive() {
+    run_primary_crash(&Deployment::sharded_adaptive());
 }

@@ -14,111 +14,37 @@
 //! (and the *other* shards) have advanced since. That is exactly the
 //! consistency contract the serving layer's k-way merges rely on.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use hazy_core::{
-    Architecture, ClassifierView, Entity, EpochCell, EpochPin, Mode, OpOverheads, ViewBuilder,
-};
-use hazy_learn::{Label, LinearModel, TrainingExample};
-use hazy_linalg::{FeatureVec, NormPair};
+use hazy_core::{Architecture, Entity, EpochCell, EpochPin, Mode, ViewBuilder};
 use hazy_serve::{shard_of, ShardedView};
+use hazy_testkit::{
+    apply, assert_models_bit_identical, assert_ranked_bit_identical, builder, probe, script, seed,
+    splitmix64, Mix, Op, OracleState, Shape,
+};
 
-const SCRIPT_OPS: usize = 520;
-const N_ENTITIES: usize = 72;
 const TOP_K: usize = 5;
 
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Write-side script only (what is left of the mix is `Reorg`) — reads are
+/// the readers' job here.
+const SHAPE: Shape = Shape {
+    salt: 0x5AAD_ED00_0000_0001,
+    corpus: 0x00E1_7A11,
+    ops: 520,
+    population: 72,
+    first_fresh_id: 10_001,
+    mix: Mix { update: 62, insert: 16, remove: 14, read: 0, count: 0, members: 0, top_k: 0 },
+    top_k_mod: 1,
+    pinned: Vec::new(),
+};
 
-fn seed() -> u64 {
-    std::env::var("HAZY_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
-}
-
-#[derive(Clone, Debug)]
-enum Op {
-    Update(Vec<TrainingExample>),
-    Insert(Entity),
-    Remove(u64),
-    Reorg,
-}
-
-fn feature(r: &mut u64) -> FeatureVec {
-    let a = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    let b = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    FeatureVec::dense(vec![a, b, 1.0])
-}
-
-fn base_entities() -> Vec<Entity> {
-    let mut r = 0x00E1_7A11_u64;
-    (0..N_ENTITIES).map(|k| Entity::new(k as u64, feature(&mut r))).collect()
-}
-
-/// Write-side script only — reads are the readers' job here.
-fn script(seed: u64) -> (Vec<Op>, Vec<u64>) {
-    let mut r = seed ^ 0x5AAD_ED00_0000_0001;
-    let mut live: Vec<u64> = (0..N_ENTITIES as u64).collect();
-    let mut dead: Vec<u64> = Vec::new();
-    let mut ever: Vec<u64> = live.clone();
-    let mut next_id = 10_000u64;
-    let mut ops = Vec::with_capacity(SCRIPT_OPS);
-    for _ in 0..SCRIPT_OPS {
-        let roll = splitmix64(&mut r) % 100;
-        let op = if roll < 62 {
-            let n = 1 + (splitmix64(&mut r) % 3) as usize;
-            let batch = (0..n)
-                .map(|_| {
-                    let f = feature(&mut r);
-                    let y = if splitmix64(&mut r).is_multiple_of(2) { 1 } else { -1 };
-                    TrainingExample::new(0, f, y)
-                })
-                .collect();
-            Op::Update(batch)
-        } else if roll < 78 {
-            let id = if !dead.is_empty() && splitmix64(&mut r).is_multiple_of(3) {
-                dead.swap_remove((splitmix64(&mut r) as usize) % dead.len())
-            } else {
-                next_id += 1;
-                ever.push(next_id);
-                next_id
-            };
-            live.push(id);
-            Op::Insert(Entity::new(id, feature(&mut r)))
-        } else if roll < 92 && live.len() > 8 {
-            let idx = (splitmix64(&mut r) as usize) % live.len();
-            let id = live.swap_remove(idx);
-            dead.push(id);
-            Op::Remove(id)
-        } else {
-            Op::Reorg
-        };
-        ops.push(op);
-    }
-    (ops, ever)
-}
-
-struct OracleState {
-    count: u64,
-    members: Vec<u64>,
-    top_k: Vec<(u64, f64)>,
-    labels: HashMap<u64, Option<Label>>,
-    model: LinearModel,
-}
-
-fn probe(v: &mut dyn ClassifierView, ever: &[u64]) -> OracleState {
-    let mut members = v.positive_ids();
-    members.sort_unstable();
-    OracleState {
-        count: v.count_positive(),
-        members,
-        top_k: v.top_k(TOP_K),
-        labels: ever.iter().map(|&id| (id, v.read_single(id))).collect(),
-        model: v.model().clone(),
+/// The shards a write-side op is routed to: everything fans out except
+/// inserts and removals, which hit only the home shard.
+fn routed_to(op: &Op, s: usize, n_shards: usize) -> bool {
+    match op {
+        Op::Insert(e) => shard_of(e.id, n_shards) == s,
+        Op::Remove(id) => shard_of(*id, n_shards) == s,
+        _ => true,
     }
 }
 
@@ -127,44 +53,28 @@ fn probe(v: &mut dyn ClassifierView, ever: &[u64]) -> OracleState {
 fn shard_oracles(
     b: &ViewBuilder,
     ops: &[Op],
-    ever: &[u64],
-    n_shards: usize,
+    ever_per_shard: &[Vec<u64>],
 ) -> Vec<Vec<OracleState>> {
-    (0..n_shards)
-        .map(|s| {
-            let mine: Vec<Entity> =
-                base_entities().into_iter().filter(|e| shard_of(e.id, n_shards) == s).collect();
-            let ever_s: Vec<u64> =
-                ever.iter().copied().filter(|&id| shard_of(id, n_shards) == s).collect();
+    let n_shards = ever_per_shard.len();
+    ever_per_shard
+        .iter()
+        .enumerate()
+        .map(|(s, ever_s)| {
+            let mine: Vec<Entity> = SHAPE
+                .base_entities()
+                .into_iter()
+                .filter(|e| shard_of(e.id, n_shards) == s)
+                .collect();
             let mut v = b.build(mine, &[]);
-            let mut states = Vec::new();
-            states.push(probe(v.as_mut(), &ever_s));
-            for op in ops {
-                match op {
-                    Op::Update(batch) => v.update_batch(batch),
-                    Op::Reorg => v.reorganize(),
-                    Op::Insert(e) if shard_of(e.id, n_shards) == s => {
-                        v.insert_entity(e.clone());
-                    }
-                    Op::Remove(id) if shard_of(*id, n_shards) == s => {
-                        let _ = v.remove_entity(*id);
-                    }
-                    // not routed to this shard: its LSN does not advance
-                    Op::Insert(_) | Op::Remove(_) => continue,
-                }
-                states.push(probe(v.as_mut(), &ever_s));
+            let mut states = vec![probe(v.as_mut(), ever_s, TOP_K)];
+            // an op not routed to this shard does not advance its LSN
+            for op in ops.iter().filter(|op| routed_to(op, s, n_shards)) {
+                apply(v.as_mut(), op);
+                states.push(probe(v.as_mut(), ever_s, TOP_K));
             }
             states
         })
         .collect()
-}
-
-fn assert_model_bits(a: &LinearModel, b: &LinearModel, ctx: &str) {
-    assert_eq!(a.b.to_bits(), b.b.to_bits(), "{ctx}: bias diverged");
-    let (wa, wb) = (a.w.to_vec(), b.w.to_vec());
-    for (i, (x, y)) in wa.iter().zip(wb.iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: weight {i} diverged");
-    }
 }
 
 /// Reader pinned to one shard; probes its pinned epoch against that
@@ -192,7 +102,7 @@ impl<'a> Reader<'a> {
                 let want = &oracle[*lsn as usize];
                 let ctx = format!("{ctx}/s{}@lsn={lsn} (shard at {shard_lsn})", self.shard);
                 assert_eq!(pin.count_positive(), want.count, "{ctx}: count_positive");
-                assert_model_bits(pin.model(), &want.model, &ctx);
+                assert_models_bit_identical(pin.model(), &want.model, &ctx);
             }
             2 => {
                 let (pin, lsn) = self.pin.as_ref().expect("phase 2 holds a pin");
@@ -211,12 +121,7 @@ impl<'a> Reader<'a> {
                 let (pin, lsn) = self.pin.as_ref().expect("phase 3 holds a pin");
                 let want = &oracle[*lsn as usize];
                 let ctx = format!("{ctx}/s{}@lsn={lsn} (shard at {shard_lsn})", self.shard);
-                let got = pin.top_k(TOP_K);
-                assert_eq!(got.len(), want.top_k.len(), "{ctx}: top_k length");
-                for (i, ((ga, gm), (wa, wm))) in got.iter().zip(want.top_k.iter()).enumerate() {
-                    assert_eq!(ga, wa, "{ctx}: top_k rank {i} id");
-                    assert_eq!(gm.to_bits(), wm.to_bits(), "{ctx}: top_k rank {i} margin");
-                }
+                assert_ranked_bit_identical(&pin.top_k(TOP_K), &want.top_k, &ctx);
             }
             _ => {
                 self.pin = None;
@@ -230,17 +135,14 @@ impl<'a> Reader<'a> {
 fn run_config(arch: Architecture, mode: Mode, n_shards: usize) {
     let seed = seed();
     let ctx = format!("{}/{}/shards={n_shards}/seed={seed}", arch.name(), mode.name());
-    let (ops, ever) = script(seed);
-    let b = ViewBuilder::new(arch, mode)
-        .norm_pair(NormPair::EUCLIDEAN)
-        .overheads(OpOverheads::free())
-        .dim(3);
-    let oracles = shard_oracles(&b, &ops, &ever, n_shards);
+    let (ops, ever) = script(seed, &SHAPE);
+    let b = builder(arch, mode);
     let ever_per_shard: Vec<Vec<u64>> = (0..n_shards)
         .map(|s| ever.iter().copied().filter(|&id| shard_of(id, n_shards) == s).collect())
         .collect();
+    let oracles = shard_oracles(&b, &ops, &ever_per_shard);
 
-    let mut view = ShardedView::build(&b, n_shards, base_entities(), &[]);
+    let mut view = ShardedView::build(&b, n_shards, SHAPE.base_entities(), &[]);
     let cells: Vec<Arc<EpochCell>> = (0..n_shards).map(|s| view.shard_epochs(s)).collect();
     let mut shard_lsn = vec![0u64; n_shards];
 
@@ -263,29 +165,9 @@ fn run_config(arch: Architecture, mode: Mode, n_shards: usize) {
         if pick == 0 {
             let op = &ops[next];
             next += 1;
-            match op {
-                Op::Update(batch) => {
-                    view.update_batch(batch);
-                    for l in shard_lsn.iter_mut() {
-                        *l += 1;
-                    }
-                }
-                Op::Insert(e) => {
-                    let s = shard_of(e.id, n_shards);
-                    view.insert_entity(e.clone());
-                    shard_lsn[s] += 1;
-                }
-                Op::Remove(id) => {
-                    let s = shard_of(*id, n_shards);
-                    let _ = view.remove_entity(*id);
-                    shard_lsn[s] += 1;
-                }
-                Op::Reorg => {
-                    view.reorganize();
-                    for l in shard_lsn.iter_mut() {
-                        *l += 1;
-                    }
-                }
+            apply(&mut view, op);
+            for (s, l) in shard_lsn.iter_mut().enumerate() {
+                *l += u64::from(routed_to(op, s, n_shards));
             }
             for (s, cell) in cells.iter().enumerate() {
                 assert_eq!(

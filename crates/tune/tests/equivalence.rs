@@ -11,151 +11,43 @@
 //! physical layout, so a correct migration leaves no trace the oracle could
 //! disagree with.
 
-use hazy_core::{
-    Architecture, ClassifierView, DurableClassifierView, Entity, Mode, OpOverheads, ViewBuilder,
+use hazy_core::{Architecture, ClassifierView, Mode};
+use hazy_testkit::{
+    apply, assert_answers_match, assert_models_bit_identical, builder, script, seed, Mix, Shape,
 };
-use hazy_learn::TrainingExample;
-use hazy_linalg::{FeatureVec, NormPair};
 use hazy_tune::{AdaptiveView, AdvisorConfig};
 
-const N_ENTITIES: usize = 60;
 const SCRIPT_OPS: usize = 160;
 
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+const SHAPE: Shape = Shape {
+    salt: 0x00AD_0A57_0000_0001,
+    corpus: 0x7E57_0001,
+    ops: SCRIPT_OPS,
+    population: 60,
+    first_fresh_id: 10_000,
+    mix: Mix { update: 45, insert: 8, remove: 0, read: 25, count: 8, members: 7, top_k: 5 },
+    top_k_mod: 9,
+    pinned: Vec::new(),
+};
 
-#[derive(Clone, Debug)]
-enum Op {
-    Update(Vec<TrainingExample>),
-    Insert(Entity),
-    Read(u64),
-    Count,
-    Members,
-    TopK(usize),
-    Reorg,
-}
-
-fn feature(r: &mut u64) -> FeatureVec {
-    let a = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    let b = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    FeatureVec::dense(vec![a, b, 1.0])
-}
-
-fn base_entities() -> Vec<Entity> {
-    let mut r = 0x7E57_0001u64;
-    (0..N_ENTITIES).map(|k| Entity::new(k as u64, feature(&mut r))).collect()
-}
-
-fn script(seed: u64) -> (Vec<Op>, Vec<u64>) {
-    let mut r = seed ^ 0x00AD_0A57_0000_0001;
-    let mut population: Vec<u64> = (0..N_ENTITIES as u64).collect();
-    let mut next_id = 10_000u64;
-    let mut ops = Vec::with_capacity(SCRIPT_OPS);
-    for _ in 0..SCRIPT_OPS {
-        let roll = splitmix64(&mut r) % 100;
-        let op = if roll < 45 {
-            let n = 1 + (splitmix64(&mut r) % 3) as usize;
-            let batch = (0..n)
-                .map(|_| {
-                    let f = feature(&mut r);
-                    let y = if splitmix64(&mut r).is_multiple_of(2) { 1 } else { -1 };
-                    TrainingExample::new(0, f, y)
-                })
-                .collect();
-            Op::Update(batch)
-        } else if roll < 53 {
-            let e = Entity::new(next_id, feature(&mut r));
-            next_id += 1;
-            population.push(e.id);
-            Op::Insert(e)
-        } else if roll < 78 {
-            let idx = (splitmix64(&mut r) as usize) % population.len();
-            Op::Read(population[idx])
-        } else if roll < 86 {
-            Op::Count
-        } else if roll < 93 {
-            Op::Members
-        } else if roll < 98 {
-            Op::TopK(1 + (splitmix64(&mut r) % 9) as usize)
-        } else {
-            Op::Reorg
-        };
-        ops.push(op);
-    }
-    (ops, population)
-}
-
-fn apply(v: &mut dyn ClassifierView, op: &Op) {
-    match op {
-        Op::Update(batch) => v.update_batch(batch),
-        Op::Insert(e) => v.insert_entity(e.clone()),
-        Op::Read(id) => {
-            let _ = v.read_single(*id);
-        }
-        Op::Count => {
-            let _ = v.count_positive();
-        }
-        Op::Members => {
-            let _ = v.positive_ids();
-        }
-        Op::TopK(k) => {
-            let _ = v.top_k(*k);
-        }
-        Op::Reorg => v.reorganize(),
-    }
-}
-
-fn builder(arch: Architecture, mode: Mode) -> ViewBuilder {
-    ViewBuilder::new(arch, mode)
-        .norm_pair(NormPair::EUCLIDEAN)
-        .overheads(OpOverheads::free())
-        .dim(3)
+fn adaptive(arch: Architecture, mode: Mode, cfg: AdvisorConfig) -> AdaptiveView {
+    AdaptiveView::build(&builder(arch, mode), cfg, SHAPE.base_entities(), &[])
 }
 
 fn assert_same_answers(
     migrated: &mut dyn ClassifierView,
-    oracle: &mut (dyn DurableClassifierView + Send),
+    oracle: &mut dyn ClassifierView,
     population: &[u64],
     ctx: &str,
 ) {
     // model bits first: the strongest claim (no retraining, no drift)
-    let (ma, mb) = (migrated.model().clone(), oracle.model().clone());
-    assert_eq!(ma.b.to_bits(), mb.b.to_bits(), "{ctx}: model bias diverged");
-    for (i, (x, y)) in ma.w.to_vec().iter().zip(mb.w.to_vec().iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: weight {i} diverged");
-    }
-    assert_eq!(migrated.entity_count(), oracle.entity_count(), "{ctx}: entity_count");
-    assert_eq!(migrated.count_positive(), oracle.count_positive(), "{ctx}: count_positive");
-    let mut got = migrated.positive_ids();
-    let mut want = oracle.positive_ids();
-    got.sort_unstable();
-    want.sort_unstable();
-    assert_eq!(got, want, "{ctx}: scan_positive");
-    let gk = migrated.top_k(9);
-    let wk = oracle.top_k(9);
-    assert_eq!(gk.len(), wk.len(), "{ctx}: top_k length");
-    for ((ia, sa), (ib, sb)) in gk.iter().zip(wk.iter()) {
-        assert_eq!(ia, ib, "{ctx}: top_k order");
-        assert_eq!(sa.to_bits(), sb.to_bits(), "{ctx}: top_k margin");
-    }
-    for &id in population {
-        assert_eq!(migrated.read_single(id), oracle.read_single(id), "{ctx}: classify({id})");
-    }
-    assert_eq!(migrated.read_single(u64::MAX - 3), None, "{ctx}: ghost id");
-}
-
-fn seed() -> u64 {
-    std::env::var("HAZY_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
+    assert_models_bit_identical(migrated.model(), oracle.model(), ctx);
+    assert_answers_match(migrated, oracle, population, 9, ctx);
 }
 
 fn run_pair(src: Architecture, dst: Architecture, mode: Mode) {
     let seed = seed();
-    let (ops, population) = script(seed);
+    let (ops, population) = script(seed, &SHAPE);
     // migration point: somewhere strictly inside the script, seed-dependent
     let p = 20 + (seed as usize * 37) % (SCRIPT_OPS - 40);
     let ctx = format!("{}→{}/{}/seed={seed}@{p}", src.name(), dst.name(), mode.name());
@@ -163,10 +55,9 @@ fn run_pair(src: Architecture, dst: Architecture, mode: Mode) {
     // the subject: an adaptive view starting as `src`, manual advisor (the
     // test controls the single migration; advisor-chosen migrations get
     // their own coverage in `advisor_migrations_preserve_answers`)
-    let mut adaptive =
-        AdaptiveView::build(&builder(src, mode), AdvisorConfig::manual(), base_entities(), &[]);
+    let mut adaptive = adaptive(src, mode, AdvisorConfig::manual());
     // the oracle: a never-migrated plain view of the *target* architecture
-    let mut oracle = builder(dst, mode).build(base_entities(), &[]);
+    let mut oracle = builder(dst, mode).build(SHAPE.base_entities(), &[]);
 
     for op in &ops[..p] {
         apply(&mut adaptive, op);
@@ -240,15 +131,10 @@ pair_matrix! {
 #[test]
 fn cross_mode_migrations_match_target_mode_oracle() {
     for (src_mode, dst_mode) in [(Mode::Eager, Mode::Lazy), (Mode::Lazy, Mode::Eager)] {
-        let (ops, population) = script(seed());
+        let (ops, population) = script(seed(), &SHAPE);
         let p = SCRIPT_OPS / 2;
-        let mut adaptive = AdaptiveView::build(
-            &builder(HazyMem, src_mode),
-            AdvisorConfig::manual(),
-            base_entities(),
-            &[],
-        );
-        let mut oracle = builder(HazyDisk, dst_mode).build(base_entities(), &[]);
+        let mut adaptive = adaptive(HazyMem, src_mode, AdvisorConfig::manual());
+        let mut oracle = builder(HazyDisk, dst_mode).build(SHAPE.base_entities(), &[]);
         for op in &ops[..p] {
             apply(&mut adaptive, op);
             apply(oracle.as_mut(), op);
@@ -268,13 +154,8 @@ fn cross_mode_migrations_match_target_mode_oracle() {
 /// must not be erased by the second hop.
 #[test]
 fn reorg_history_survives_a_naive_stopover() {
-    let (ops, _) = script(seed());
-    let mut adaptive = AdaptiveView::build(
-        &builder(HazyMem, Mode::Eager),
-        AdvisorConfig::manual(),
-        base_entities(),
-        &[],
-    );
+    let (ops, _) = script(seed(), &SHAPE);
+    let mut adaptive = adaptive(HazyMem, Mode::Eager, AdvisorConfig::manual());
     for op in &ops {
         apply(&mut adaptive, op);
     }
@@ -294,13 +175,12 @@ fn reorg_history_survives_a_naive_stopover() {
 /// during or after *any* migration would surface here.
 #[test]
 fn advisor_migrations_preserve_answers() {
-    let (ops, population) = script(seed());
+    let (ops, population) = script(seed(), &SHAPE);
     let cfg = AdvisorConfig { window: 16, switch_factor: 0.5, min_dwell: 1 };
-    let mut adaptive =
-        AdaptiveView::build(&builder(HazyMem, Mode::Eager), cfg, base_entities(), &[]);
+    let mut adaptive = adaptive(HazyMem, Mode::Eager, cfg);
     // oracle of the *starting* configuration: answers are architecture-
     // independent, so it stays valid no matter where the advisor goes
-    let mut oracle = builder(HazyMem, Mode::Eager).build(base_entities(), &[]);
+    let mut oracle = builder(HazyMem, Mode::Eager).build(SHAPE.base_entities(), &[]);
     for (i, op) in ops.iter().enumerate() {
         apply(&mut adaptive, op);
         apply(oracle.as_mut(), op);

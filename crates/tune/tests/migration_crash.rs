@@ -19,173 +19,47 @@
 //!
 //! The crash seed comes from `HAZY_CRASH_SEED` (CI runs a seed matrix).
 
-use std::sync::{Arc, Mutex};
-
-use hazy_core::{
-    Architecture, ClassifierView, DurableView, Entity, Mode, OpOverheads, ViewBuilder,
+use hazy_core::{Architecture, ClassifierView, Mode, ViewBuilder};
+use hazy_testkit::{
+    apply, assert_answers_match, assert_models_bit_identical, boundaries, builder, durable,
+    durable_run, recover, script, seed, Mix, Op, PrefixOracle, Shape,
 };
-use hazy_learn::TrainingExample;
-use hazy_linalg::{FeatureVec, NormPair};
-use hazy_storage::{DurableImage, DurableStore, WalReader};
 use hazy_tune::{AdaptiveView, AdvisorConfig, TuneRestorer};
 
 const SCRIPT_OPS: usize = 220;
 const CKPT_INTERVAL: u64 = 32;
-const N_ENTITIES: usize = 48;
-
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn seed() -> u64 {
-    std::env::var("HAZY_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
-}
-
-#[derive(Clone, Debug)]
-enum Op {
-    Update(Vec<TrainingExample>),
-    Insert(Entity),
-    Read(u64),
-    Count,
-    Members,
-    TopK(usize),
-    SetArch(Architecture, Mode),
-}
-
-fn feature(r: &mut u64) -> FeatureVec {
-    let a = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    let b = (splitmix64(r) % 256) as f32 / 255.0 - 0.5;
-    FeatureVec::dense(vec![a, b, 1.0])
-}
-
-fn base_entities() -> Vec<Entity> {
-    let mut r = 0x00E1_7A22u64;
-    (0..N_ENTITIES).map(|k| Entity::new(k as u64, feature(&mut r))).collect()
-}
+/// Ranked-read depth of the differential probe.
+const TOP_K: usize = 5;
 
 /// A script with two explicit migrations: src→dst at one third, dst→src at
 /// two thirds, so crash boundaries bracket records of both directions.
-fn script(
-    seed: u64,
-    src: (Architecture, Mode),
-    dst: (Architecture, Mode),
-) -> (Vec<Op>, Vec<u64>) {
-    let mut r = seed ^ 0x0C4A_5147_0000_0001;
-    let mut population: Vec<u64> = (0..N_ENTITIES as u64).collect();
-    let mut next_id = 20_000u64;
-    let mut ops = Vec::with_capacity(SCRIPT_OPS);
-    for i in 0..SCRIPT_OPS {
-        if i == SCRIPT_OPS / 3 {
-            ops.push(Op::SetArch(dst.0, dst.1));
-            continue;
-        }
-        if i == 2 * SCRIPT_OPS / 3 {
-            ops.push(Op::SetArch(src.0, src.1));
-            continue;
-        }
-        let roll = splitmix64(&mut r) % 100;
-        let op = if roll < 45 {
-            let n = 1 + (splitmix64(&mut r) % 3) as usize;
-            let batch = (0..n)
-                .map(|_| {
-                    let f = feature(&mut r);
-                    let y = if splitmix64(&mut r).is_multiple_of(2) { 1 } else { -1 };
-                    TrainingExample::new(0, f, y)
-                })
-                .collect();
-            Op::Update(batch)
-        } else if roll < 53 {
-            let e = Entity::new(next_id, feature(&mut r));
-            next_id += 1;
-            population.push(e.id);
-            Op::Insert(e)
-        } else if roll < 80 {
-            let idx = (splitmix64(&mut r) as usize) % population.len();
-            Op::Read(population[idx])
-        } else if roll < 88 {
-            Op::Count
-        } else if roll < 95 {
-            Op::Members
-        } else {
-            Op::TopK(1 + (splitmix64(&mut r) % 7) as usize)
-        };
-        ops.push(op);
-    }
-    (ops, population)
-}
-
-fn apply(v: &mut dyn ClassifierView, op: &Op) {
-    match op {
-        Op::Update(batch) => v.update_batch(batch),
-        Op::Insert(e) => v.insert_entity(e.clone()),
-        Op::Read(id) => {
-            let _ = v.read_single(*id);
-        }
-        Op::Count => {
-            let _ = v.count_positive();
-        }
-        Op::Members => {
-            let _ = v.positive_ids();
-        }
-        Op::TopK(k) => {
-            let _ = v.top_k(*k);
-        }
-        Op::SetArch(a, m) => {
-            assert!(v.set_architecture(*a, *m), "migration path must exist");
-        }
+fn shape(src: (Architecture, Mode), dst: (Architecture, Mode)) -> Shape {
+    Shape {
+        salt: 0x0C4A_5147_0000_0001,
+        corpus: 0x00E1_7A22,
+        ops: SCRIPT_OPS,
+        population: 48,
+        first_fresh_id: 20_000,
+        mix: Mix { update: 45, insert: 8, remove: 0, read: 27, count: 8, members: 7, top_k: 5 },
+        top_k_mod: 7,
+        pinned: vec![
+            (SCRIPT_OPS / 3, Op::SetArch(dst.0, dst.1)),
+            (2 * SCRIPT_OPS / 3, Op::SetArch(src.0, src.1)),
+        ],
     }
 }
 
-fn builder(arch: Architecture, mode: Mode) -> ViewBuilder {
-    ViewBuilder::new(arch, mode)
-        .norm_pair(NormPair::EUCLIDEAN)
-        .overheads(OpOverheads::free())
-        .dim(3)
-}
-
-fn adaptive(b: &ViewBuilder, cfg: AdvisorConfig) -> AdaptiveView {
-    AdaptiveView::build(b, cfg, base_entities(), &[])
-}
-
-fn assert_models_bit_identical(
-    a: &hazy_learn::LinearModel,
-    b: &hazy_learn::LinearModel,
-    ctx: &str,
-) {
-    assert_eq!(a.b.to_bits(), b.b.to_bits(), "{ctx}: bias diverged");
-    for (i, (x, y)) in a.w.to_vec().iter().zip(b.w.to_vec().iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: weight {i} diverged");
-    }
-}
-
-fn assert_answers_match(
-    recovered: &mut dyn ClassifierView,
-    probe: &mut dyn ClassifierView,
-    population: &[u64],
-    ctx: &str,
-) {
-    assert_eq!(recovered.count_positive(), probe.count_positive(), "{ctx}: count_positive");
-    let mut got = recovered.positive_ids();
-    let mut want = probe.positive_ids();
-    got.sort_unstable();
-    want.sort_unstable();
-    assert_eq!(got, want, "{ctx}: scan_positive");
-    let rk = recovered.top_k(5);
-    let pk = probe.top_k(5);
-    assert_eq!(rk, pk, "{ctx}: top_k");
-    for &id in population.iter().step_by(3) {
-        assert_eq!(recovered.read_single(id), probe.read_single(id), "{ctx}: classify({id})");
-    }
+fn adaptive(b: &ViewBuilder, shape: &Shape, cfg: AdvisorConfig) -> Box<AdaptiveView> {
+    Box::new(AdaptiveView::build(b, cfg, shape.base_entities(), &[]))
 }
 
 /// The full differential walk for one (source, target, advisor) config.
 fn run_config(src: (Architecture, Mode), dst: (Architecture, Mode), cfg: AdvisorConfig) {
     let seed = seed();
-    let (ops, population) = script(seed, src, dst);
+    let shape = shape(src, dst);
+    let (ops, population) = script(seed, &shape);
+    // answers are swept on every third id
+    let sample: Vec<u64> = population.iter().copied().step_by(3).collect();
     let b = builder(src.0, src.1);
     let ctx_base = format!(
         "{}/{}→{}/{}/auto={}/seed={seed}",
@@ -196,37 +70,20 @@ fn run_config(src: (Architecture, Mode), dst: (Architecture, Mode), cfg: Advisor
         cfg.window > 0
     );
 
-    // ---- the durable run: capture a crash image at every record boundary
-    let inner = adaptive(&b, cfg);
-    let store = Arc::new(Mutex::new(DurableStore::new(inner.clock().clone())));
-    let mut dv = DurableView::create(Box::new(inner), store, CKPT_INTERVAL);
-    let mut images: Vec<DurableImage> = Vec::with_capacity(ops.len() + 1);
-    images.push(dv.durable_image());
-    for op in &ops {
-        apply(&mut dv, op);
-        images.push(dv.durable_image());
-    }
-
-    // ---- oracles, advanced as the crash boundary walks forward
-    let mut clean = adaptive(&b, cfg);
-    let mut probe = adaptive(&b, cfg);
-    let mut applied = 0usize;
+    let images = durable_run(adaptive(&b, &shape, cfg), CKPT_INTERVAL, &ops);
+    let mut clean = PrefixOracle::new(&ops, adaptive(&b, &shape, cfg));
+    let mut probe = PrefixOracle::new(&ops, adaptive(&b, &shape, cfg));
     let valid = [
         format!("durable adaptive {} ({})", src.0.name(), src.1.name()),
         format!("durable adaptive {} ({})", dst.0.name(), dst.1.name()),
     ];
 
-    for (boundary, image) in images.iter().enumerate() {
-        let durable_ops = WalReader::new(image.wal_bytes()).count();
+    for (boundary, image, durable_ops) in boundaries(&images) {
         assert_eq!(durable_ops, boundary, "{ctx_base}: one WAL record per op");
-        while applied < durable_ops {
-            apply(&mut clean, &ops[applied]);
-            apply(&mut probe, &ops[applied]);
-            applied += 1;
-        }
-        let mut recovered = DurableView::recover_image(&b, image, CKPT_INTERVAL, &TuneRestorer)
-            .unwrap_or_else(|e| panic!("{ctx_base}: recovery at boundary {boundary} failed: {e}"));
+        clean.advance_to(durable_ops);
+        probe.advance_to(durable_ops);
         let ctx = format!("{ctx_base}@{boundary}");
+        let mut recovered = recover(&b, image, CKPT_INTERVAL, &TuneRestorer, &ctx);
         // 1. the acceptance property: recovery lands in exactly one of
         //    {source arch, target arch} — and, stronger, in precisely the
         //    configuration the uncrashed oracle is in at this boundary
@@ -237,19 +94,19 @@ fn run_config(src: (Architecture, Mode), dst: (Architecture, Mode), cfg: Advisor
                 "{ctx}: recovered into {desc:?}, not source or target"
             );
         }
-        assert_eq!(desc, format!("durable {}", clean.describe()), "{ctx}: architecture");
+        assert_eq!(desc, format!("durable {}", clean.view.describe()), "{ctx}: architecture");
         // 2. bit-identical control state
-        assert_eq!(recovered.stats(), clean.stats(), "{ctx}: ViewStats diverged");
-        assert_models_bit_identical(recovered.model(), clean.model(), &ctx);
+        assert_eq!(recovered.stats(), clean.view.stats(), "{ctx}: ViewStats diverged");
+        assert_models_bit_identical(recovered.model(), clean.view.model(), &ctx);
         // 3. answers (full sweep on a sample of boundaries, always at the
         //    boundaries adjacent to the two migration records)
         let near_migration = (boundary as i64 - (SCRIPT_OPS as i64 / 3 + 1)).abs() <= 1
             || (boundary as i64 - (2 * SCRIPT_OPS as i64 / 3 + 1)).abs() <= 1;
         if near_migration || boundary % 13 == 0 || boundary == images.len() - 1 {
-            assert_answers_match(&mut recovered, &mut probe, &population, &ctx);
+            assert_answers_match(&mut recovered, probe.view.as_mut(), &sample, TOP_K, &ctx);
         }
     }
-    assert_eq!(applied, ops.len(), "{ctx_base}: script fully replayed");
+    assert_eq!(clean.applied(), ops.len(), "{ctx_base}: script fully replayed");
 }
 
 macro_rules! migration_crash_matrix {
@@ -291,11 +148,10 @@ fn advisor_ordered_migrations_recover_deterministically() {
 #[test]
 fn lost_migration_record_recovers_to_source_and_can_retry() {
     let b = builder(HazyMem, Mode::Eager);
-    let (ops, population) =
-        script(seed(), (HazyMem, Mode::Eager), (NaiveDisk, Mode::Lazy));
-    let inner = adaptive(&b, AdvisorConfig::manual());
-    let store = Arc::new(Mutex::new(DurableStore::new(inner.clock().clone())));
-    let mut dv = DurableView::create(Box::new(inner), store, CKPT_INTERVAL);
+    let shape = shape((HazyMem, Mode::Eager), (NaiveDisk, Mode::Lazy));
+    let (ops, population) = script(seed(), &shape);
+    let sample: Vec<u64> = population.iter().copied().step_by(3).collect();
+    let mut dv = durable(adaptive(&b, &shape, AdvisorConfig::manual()), CKPT_INTERVAL);
     let migrate_at = SCRIPT_OPS / 3; // the SetArch op's position
     // everything after the record preceding the migration is lost
     dv.store()
@@ -307,8 +163,7 @@ fn lost_migration_record_recovers_to_source_and_can_retry() {
         apply(&mut dv, op);
     }
     let mut recovered =
-        DurableView::recover_image(&b, &dv.durable_image(), CKPT_INTERVAL, &TuneRestorer)
-            .unwrap();
+        recover(&b, &dv.durable_image(), CKPT_INTERVAL, &TuneRestorer, "lost migration record");
     assert_eq!(
         recovered.describe(),
         "durable adaptive hazy-mm (eager)",
@@ -318,10 +173,8 @@ fn lost_migration_record_recovers_to_source_and_can_retry() {
     // the migration can simply be re-issued — and this time it sticks
     assert!(recovered.set_architecture(NaiveDisk, Mode::Lazy));
     assert_eq!(recovered.describe(), "durable adaptive naive-od (lazy)");
-    let mut oracle = adaptive(&b, AdvisorConfig::manual());
-    for op in &ops[..migrate_at] {
-        apply(&mut oracle, op);
-    }
-    assert!(oracle.set_architecture(NaiveDisk, Mode::Lazy));
-    assert_answers_match(&mut recovered, &mut oracle, &population, "post-retry");
+    let mut oracle = PrefixOracle::new(&ops, adaptive(&b, &shape, AdvisorConfig::manual()));
+    oracle.advance_to(migrate_at);
+    assert!(oracle.view.set_architecture(NaiveDisk, Mode::Lazy));
+    assert_answers_match(&mut recovered, oracle.view.as_mut(), &sample, TOP_K, "post-retry");
 }
