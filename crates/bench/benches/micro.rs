@@ -1,10 +1,15 @@
 //! Criterion microbenches for the hot kernels under every experiment:
 //! dot products, SGD steps, watermark bookkeeping, the Skiing decision,
-//! tuple codec, B+-tree and buffer-pool paths, and reorganization sorts.
+//! tuple codec, B+-tree and buffer-pool paths, reorganization sorts, and
+//! the epoch publisher's model round and re-score.
 //! These measure *wall* time of the real code (no simulated costs).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hazy_core::{decode_tuple, decode_tuple_ref, encode_tuple, merge_sorted_tail, HTuple, Skiing};
+use hazy_bench::common::{entities_of, warm_examples};
+use hazy_core::{
+    decode_tuple, decode_tuple_ref, encode_tuple, merge_sorted_tail, EpochPublisher, HTuple, Skiing,
+};
+use hazy_datagen::{DatasetSpec, ExampleStream};
 use hazy_learn::{LinearModel, SgdConfig, SgdTrainer};
 use hazy_linalg::{FeatureVec, Features, Norm, NormPair, OrdF64};
 use hazy_storage::{BTree, BufferPool, CostModel, HashIndex, SimDisk, VirtualClock};
@@ -185,9 +190,57 @@ fn bench_reorg_sort(c: &mut Criterion) {
     g.finish();
 }
 
+/// The epoch publisher on one `tcp_mixed` shard's worth of the forest
+/// corpus (14.5 K dense-54 entities) under a 1 000-round SGD drift from a
+/// warm model.
+fn bench_epoch(c: &mut Criterion) {
+    let spec = DatasetSpec::forest().scaled(0.025);
+    let entities = entities_of(&spec.generate());
+    let mut trainer = SgdTrainer::new(SgdConfig::svm(), spec.dim);
+    for ex in warm_examples(&spec, 6_000) {
+        trainer.step(&ex.f, ex.y);
+    }
+    let warm = trainer.model().clone();
+    let drift: Vec<LinearModel> = ExampleStream::new(&spec, 7)
+        .take_vec(1_000)
+        .iter()
+        .map(|ex| {
+            trainer.step(&ex.f, ex.y);
+            trainer.model().clone()
+        })
+        .collect();
+    let fresh = || EpochPublisher::new(entities.clone(), warm.clone(), spec.norm_pair(), 0);
+
+    let mut g = c.benchmark_group("epoch");
+    // one published model round: band walk or, when Skiing says so, a
+    // re-score; a fresh publisher every 1 000 rounds (≈ 2 % of the time)
+    g.bench_function("epoch_apply_update_drift", |b| {
+        let (mut p, mut i) = (fresh(), 0);
+        b.iter(|| {
+            if i == drift.len() {
+                (p, i) = (fresh(), 0);
+            }
+            p.apply_update(&drift[i]);
+            i += 1;
+        })
+    });
+    // one forced re-score of the shared population, its `eps` order ten
+    // rounds stale (the walk of that ten-round jump included)
+    g.bench_function("epoch_rescore", |b| {
+        let (mut p, mut i) = (fresh(), 0);
+        b.iter(|| {
+            i = (i + 10) % drift.len();
+            p.apply_update(&drift[i]);
+            p.apply_reorganize();
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_linalg, bench_sgd, bench_watermark, bench_codec, bench_storage, bench_reorg_sort
+    targets = bench_linalg, bench_sgd, bench_watermark, bench_codec, bench_storage, bench_reorg_sort,
+        bench_epoch
 }
 criterion_main!(benches);

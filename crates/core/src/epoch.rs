@@ -7,23 +7,28 @@
 //! maintenance. This module removes readers from the lock protocol
 //! entirely:
 //!
-//! * [`ModelEpoch`] — an immutable answer state: the model bits, the
-//!   entity population frozen at the last rebase (an [`Arc`]-shared base
-//!   clustered on `eps` under the frozen model), and a **compact
-//!   label-patch overlay** recording everything that changed since — label
-//!   flips found inside the watermark band, dynamic inserts, retractions.
-//!   Every read (`classify`, `count_positive`, `positive_ids`, `top_k`)
-//!   is answered entirely from one epoch, bit-identically to the live
-//!   architectures (all of which serve pure functions of
-//!   *population × model* — the observational equivalence the core test
-//!   suites enforce).
-//! * [`EpochPublisher`] — the writer-side maintenance of that overlay.
-//!   After a model round it re-scores **only** the tuples whose frozen
-//!   `eps` falls inside the running watermark band (Lemma 3.1: nothing
-//!   outside the band can have flipped), exactly the paper's pruning
-//!   argument applied to snapshot publication; when the overlay outgrows
-//!   its budget the base is rebased — the epoch analog of a
-//!   reorganization.
+//! * [`ModelEpoch`] — an immutable answer state in three [`Arc`]-shared
+//!   layers: the model bits; a **population** (the id-sorted entities,
+//!   feature payloads and all, rebuilt only when inserts and retractions
+//!   pile up); a **scoring** of that population under a frozen model
+//!   (`eps`, labels, the `eps`-sorted permutation — 13 bytes an entity);
+//!   and a **compact overlay** recording everything that changed since —
+//!   label flips found inside the watermark band, dynamic inserts,
+//!   retractions. Every read (`classify`, `count_positive`,
+//!   `positive_ids`, `top_k`) is answered entirely from one epoch,
+//!   bit-identically to the live architectures (all of which serve pure
+//!   functions of *population × model* — the observational equivalence
+//!   the core test suites enforce).
+//! * [`EpochPublisher`] — the writer-side maintenance of that overlay,
+//!   run by the paper's own strategy. After a model round it re-scores
+//!   **only** the tuples whose frozen `eps` falls inside the running
+//!   watermark band (Lemma 3.1: nothing outside the band can have
+//!   flipped). The band only widens, so each walk's cost is charged — in
+//!   deterministic operation counts, never wall time — to a [`Skiing`]
+//!   controller, and once the accumulated waste reaches `α·S` the round
+//!   re-scores the shared population under the current model instead
+//!   (§3.2.1; Lemma 3.2 bounds the total at `1 + σ + α` times the best
+//!   schedule): band back to zero width, no feature payload copied.
 //! * [`EpochCell`] — the publication point: an atomic pointer swap makes
 //!   a new epoch current, so the worst-case read stall during a full
 //!   reorganization is the cost of one pointer load. Stale epochs are
@@ -51,11 +56,14 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hazy_learn::{Label, LinearModel, TrainingExample};
+use hazy_learn::{sign, Label, LinearModel, TrainingExample};
 use hazy_linalg::NormPair;
+use hazy_storage::sort_ops;
 
+use crate::cost::classify_cost;
 use crate::durable::{apply_record, DurableClassifierView, DurableView, Replayed};
 use crate::entity::Entity;
+use crate::skiing::Skiing;
 use crate::view::{select_top_k, Architecture, ClassifierView, Mode};
 use crate::watermark::{WaterMarks, WatermarkPolicy};
 
@@ -74,6 +82,11 @@ struct EpochObs {
     reclaimed: &'static hazy_obs::Counter,
     rebases: &'static hazy_obs::Counter,
     retired_live: &'static hazy_obs::Gauge,
+    /// Tuples inside the `[lw, hw]` band at the last model round (Lemma 3.1).
+    band_tuples: &'static hazy_obs::Gauge,
+    /// Skiing's accumulated waste `a` and re-score cost `S`, in charged ops.
+    skiing_waste: &'static hazy_obs::Gauge,
+    skiing_s: &'static hazy_obs::Gauge,
 }
 
 fn epoch_obs() -> &'static EpochObs {
@@ -84,55 +97,60 @@ fn epoch_obs() -> &'static EpochObs {
         reclaimed: hazy_obs::counter("core_epoch_reclaimed_total"),
         rebases: hazy_obs::counter("core_epoch_rebases_total"),
         retired_live: hazy_obs::gauge("core_epoch_retired_live"),
+        band_tuples: hazy_obs::gauge("core_epoch_band_tuples"),
+        skiing_waste: hazy_obs::gauge("core_epoch_skiing_waste"),
+        skiing_s: hazy_obs::gauge("core_epoch_skiing_s"),
     })
 }
 
-
-/// The immutable population frozen at the last rebase: entities in
-/// ascending-id order with their `eps` (margin under the frozen model) and
-/// labels, plus an eps-sorted permutation for watermark-band range scans.
-/// Shared by every epoch published since the rebase via [`Arc`].
-struct EpochBase {
-    /// Entities in ascending id order (ids unique).
+/// The entities a run of epochs shares, in ascending id order (ids unique).
+/// Holds every feature payload, so it is rebuilt only when inserts and
+/// retractions outgrow the overlay — never because the model moved.
+struct Population {
     entities: Vec<Entity>,
-    /// `eps[i]` = margin of `entities[i]` under the frozen model.
-    eps: Vec<f64>,
-    /// `labels[i]` = label of `entities[i]` under the frozen model.
-    labels: Vec<Label>,
-    /// Indices of `entities` sorted by ascending `eps` — the clustering
-    /// order a hazy architecture keeps physically, kept here logically so
-    /// the publisher can walk exactly the watermark band.
-    by_eps: Vec<u32>,
 }
 
-impl EpochBase {
-    /// Builds a base from an id-sorted population under `model`. Returns
-    /// the base, its positive count, and `M = max ‖f‖_q` for the marks.
-    fn build(entities: Vec<Entity>, model: &LinearModel, pair: NormPair) -> (EpochBase, u64, f64) {
-        let n = entities.len();
-        debug_assert!(entities.windows(2).all(|w| w[0].id < w[1].id), "base must be id-sorted");
-        let mut eps = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        let mut positive = 0u64;
-        let mut m_norm = 0.0f64;
-        for e in &entities {
-            let m = model.margin(&e.f);
-            let l = model.predict(&e.f);
-            positive += u64::from(l > 0);
-            m_norm = m_norm.max(e.f.norm(pair.q));
-            eps.push(m);
-            labels.push(l);
-        }
-        let mut by_eps: Vec<u32> = (0..n as u32).collect();
-        by_eps.sort_unstable_by(|&a, &b| {
-            eps[a as usize].total_cmp(&eps[b as usize]).then(a.cmp(&b))
-        });
-        (EpochBase { entities, eps, labels, by_eps }, positive, m_norm)
-    }
-
+impl Population {
     /// Binary search by entity id.
     fn idx_of(&self, id: u64) -> Option<usize> {
         self.entities.binary_search_by_key(&id, |e| e.id).ok()
+    }
+}
+
+/// A [`Population`] scored under the model frozen at the last re-score:
+/// what a model round invalidates, and all a Skiing rebase rebuilds.
+struct Scoring {
+    /// `eps[i]` = margin of entity `i` under the frozen model.
+    eps: Vec<f64>,
+    /// `labels[i]` = `sign(eps[i])`.
+    labels: Vec<Label>,
+    /// Entity indices sorted by ascending `eps` — the clustering order a
+    /// hazy architecture keeps physically, kept here logically so the
+    /// publisher can walk exactly the watermark band.
+    by_eps: Vec<u32>,
+}
+
+impl Scoring {
+    /// Scores `pop` under `model` with one margin per entity and sorts
+    /// `by_eps` — any permutation of the population's indices; the previous
+    /// scoring's is nearly sorted already, which the run-adaptive stable
+    /// sort exploits — by the new `eps`. Returns the scoring and its
+    /// charged cost `S = Σ classify_cost + n·log₂n` (the sort as
+    /// `VirtualClock::charge_sort` counts it).
+    fn build(pop: &Population, model: &LinearModel, mut by_eps: Vec<u32>) -> (Scoring, u64) {
+        let n = pop.entities.len();
+        debug_assert_eq!(by_eps.len(), n, "by_eps must permute the population");
+        let mut eps = Vec::with_capacity(n);
+        let mut labels = Vec::with_capacity(n);
+        let mut ops = sort_ops(n as u64);
+        for e in &pop.entities {
+            let m = model.margin(&e.f);
+            ops += classify_cost(&e.f);
+            eps.push(m);
+            labels.push(sign(m));
+        }
+        by_eps.sort_by(|&a, &b| eps[a as usize].total_cmp(&eps[b as usize]).then(a.cmp(&b)));
+        (Scoring { eps, labels, by_eps }, ops)
     }
 }
 
@@ -143,16 +161,18 @@ impl EpochBase {
 /// what the writer has done since.
 pub struct ModelEpoch {
     lsn: u64,
-    model: LinearModel,
-    base: Arc<EpochBase>,
-    /// Label patches for base entities that flipped since the rebase
-    /// (base index → current label). Compact: only band members can
+    model: Arc<LinearModel>,
+    pop: Arc<Population>,
+    scoring: Arc<Scoring>,
+    /// Label patches for population entities that flipped since the last
+    /// re-score (index → current label). Compact: only band members can
     /// appear.
     flips: HashMap<u32, Label>,
-    /// Entities inserted since the rebase, with their current labels.
-    /// `Arc`-shared so publishing an epoch never copies feature payloads.
+    /// Entities inserted since the population was built, with their
+    /// current labels. `Arc`-shared so publishing an epoch never copies
+    /// feature payloads.
     added: BTreeMap<u64, (Arc<Entity>, Label)>,
-    /// Base ids retracted since the rebase.
+    /// Population ids retracted since the population was built.
     removed: HashSet<u64>,
     positive: u64,
 }
@@ -172,7 +192,7 @@ impl ModelEpoch {
 
     /// Number of entities alive at this epoch.
     pub fn entity_count(&self) -> u64 {
-        (self.base.entities.len() - self.removed.len() + self.added.len()) as u64
+        (self.pop.entities.len() - self.removed.len() + self.added.len()) as u64
     }
 
     /// `Single Entity` read against the snapshot.
@@ -183,8 +203,8 @@ impl ModelEpoch {
         if self.removed.contains(&id) {
             return None;
         }
-        let i = self.base.idx_of(id)?;
-        Some(self.flips.get(&(i as u32)).copied().unwrap_or(self.base.labels[i]))
+        let i = self.pop.idx_of(id)?;
+        Some(self.flips.get(&(i as u32)).copied().unwrap_or(self.scoring.labels[i]))
     }
 
     /// `All Members` count against the snapshot (maintained incrementally
@@ -197,7 +217,7 @@ impl ModelEpoch {
     pub fn positive_ids(&self) -> Vec<u64> {
         let mut out = Vec::new();
         let mut add = self.added.iter().peekable();
-        for (i, e) in self.base.entities.iter().enumerate() {
+        for (i, e) in self.pop.entities.iter().enumerate() {
             while let Some((&aid, (_, al))) = add.peek() {
                 if aid >= e.id {
                     break;
@@ -210,7 +230,7 @@ impl ModelEpoch {
             if self.removed.contains(&e.id) {
                 continue;
             }
-            if self.flips.get(&(i as u32)).copied().unwrap_or(self.base.labels[i]) > 0 {
+            if self.flips.get(&(i as u32)).copied().unwrap_or(self.scoring.labels[i]) > 0 {
                 out.push(e.id);
             }
         }
@@ -231,7 +251,7 @@ impl ModelEpoch {
             return Vec::new();
         }
         let mut scored = Vec::with_capacity(self.entity_count() as usize);
-        for e in &self.base.entities {
+        for e in &self.pop.entities {
             if self.removed.contains(&e.id) {
                 continue;
             }
@@ -244,7 +264,8 @@ impl ModelEpoch {
     }
 
     /// Number of overlay entries (label patches + inserts + retractions) —
-    /// how far this epoch has drifted from its frozen base.
+    /// how far this epoch has drifted from its frozen population and
+    /// scoring.
     pub fn overlay_len(&self) -> usize {
         self.flips.len() + self.added.len() + self.removed.len()
     }
@@ -481,14 +502,30 @@ impl Drop for EpochPin<'_> {
     }
 }
 
-/// How many overlay entries the publisher tolerates before rebasing
-/// relative to the base population (¼ of it, floored at this constant).
+/// How many inserts and retractions the publisher tolerates before
+/// folding them into a fresh population (¼ of it, floored at this
+/// constant).
 const REBASE_FLOOR: usize = 64;
 
 /// The writer-side half of snapshot reads: owns the mutable overlay state,
 /// folds every logical write into it (using the watermark band to touch
 /// only tuples that can have flipped), and publishes an immutable
 /// [`ModelEpoch`] into its [`EpochCell`] after each operation.
+///
+/// Two rules bound the overlay, each the one that witnesses its cost:
+///
+/// * **model drift** widens the band every walk re-scores and grows the
+///   flip patches every publish copies. [`Skiing`] (α = 1) accumulates
+///   that cost and, at `α·S`, spends `S` on re-scoring the population
+///   under the current model (`rebase(false)`). Costs are operation counts
+///   in the engine's own model ([`classify_cost`] per re-scored tuple,
+///   `n·log₂n` for the sort, one per flip patch copied) on a ledger
+///   of the publisher's own — never wall time, never the engine's
+///   `VirtualClock` — so the rebase points of a script repeat exactly;
+/// * **population change** (`added`, `removed`) is not something a
+///   re-score shrinks, so it is never charged to Skiing; when it outgrows
+///   `max(64, n/4)` the population itself is rebuilt and re-scored
+///   (`rebase(true)`).
 ///
 /// Exactly one publisher exists per cell; it is driven by whoever already
 /// holds the single-writer role (a [`PublishedView`]'s write verbs in
@@ -497,25 +534,36 @@ const REBASE_FLOOR: usize = 64;
 /// publication protocol.
 pub struct EpochPublisher {
     cell: Arc<EpochCell>,
-    base: Arc<EpochBase>,
-    /// Running watermark band over the base's frozen model. Always
+    pop: Arc<Population>,
+    scoring: Arc<Scoring>,
+    /// Running watermark band over the scoring's frozen model; also
+    /// carries `M = max ‖f‖_q`, raised by inserts. Always
     /// [`WatermarkPolicy::Monotone`]: the band must only grow, so a tuple
     /// that flipped stays inside it and keeps being re-scored until the
-    /// next rebase.
+    /// next re-score.
     marks: WaterMarks,
     pair: NormPair,
+    skiing: Skiing,
+    /// Tuples inside the band at the last walk.
+    band_tuples: u64,
+    /// Current label of every population entity (`scoring.labels` patched
+    /// with `flips`): the walk compares against this dense copy, so the
+    /// hashed `flips` map — the patch set epochs publish — is touched only
+    /// on an actual flip.
+    labels_now: Vec<Label>,
     flips: HashMap<u32, Label>,
     added: BTreeMap<u64, (Arc<Entity>, Label)>,
     removed: HashSet<u64>,
-    model: LinearModel,
+    /// One allocation per model round, shared with every epoch published
+    /// under that model.
+    model: Arc<LinearModel>,
     positive: u64,
     lsn: u64,
-    rebases: u64,
 }
 
 impl EpochPublisher {
-    /// Builds the initial base from `entities` under `model` and publishes
-    /// epoch `start_lsn`. Entities need not be sorted; ids must be unique.
+    /// Scores `entities` under `model` and publishes epoch `start_lsn`.
+    /// Entities need not be sorted; ids must be unique.
     pub fn new(
         mut entities: Vec<Entity>,
         model: LinearModel,
@@ -523,29 +571,39 @@ impl EpochPublisher {
         start_lsn: u64,
     ) -> EpochPublisher {
         entities.sort_unstable_by_key(|e| e.id);
-        let (base, positive, m_norm) = EpochBase::build(entities, &model, pair);
-        let base = Arc::new(base);
+        debug_assert!(entities.windows(2).all(|w| w[0].id < w[1].id), "entity ids must be unique");
+        let m_norm = entities.iter().map(|e| e.f.norm(pair.q)).fold(0.0f64, f64::max);
+        let pop = Arc::new(Population { entities });
+        let order = (0..pop.entities.len() as u32).collect();
+        let (scoring, s) = Scoring::build(&pop, &model, order);
+        let positive = scoring.labels.iter().filter(|&&l| l > 0).count() as u64;
         let marks = WaterMarks::new(model.clone(), pair, m_norm, WatermarkPolicy::Monotone);
+        let model = Arc::new(model);
+        let scoring = Arc::new(scoring);
         EpochPublisher {
             cell: Arc::new(EpochCell::new(ModelEpoch {
                 lsn: start_lsn,
-                model: model.clone(),
-                base: Arc::clone(&base),
+                model: Arc::clone(&model),
+                pop: Arc::clone(&pop),
+                scoring: Arc::clone(&scoring),
                 flips: HashMap::new(),
                 added: BTreeMap::new(),
                 removed: HashSet::new(),
                 positive,
             })),
-            base,
+            labels_now: scoring.labels.clone(),
+            pop,
+            scoring,
             marks,
             pair,
+            skiing: Skiing::new(1.0, s as f64),
+            band_tuples: 0,
             flips: HashMap::new(),
             added: BTreeMap::new(),
             removed: HashSet::new(),
             model,
             positive,
             lsn: start_lsn,
-            rebases: 0,
         }
     }
 
@@ -559,69 +617,104 @@ impl EpochPublisher {
         self.lsn
     }
 
-    /// How many times the overlay has been folded into a fresh base.
+    /// How many times the publisher has re-scored: Skiing's rebases, the
+    /// population rebuilds and the explicit reorganizations together.
     pub fn rebases(&self) -> u64 {
-        self.rebases
+        self.skiing.reorgs()
+    }
+
+    /// The Skiing controller: accumulated waste, the charged cost `S` of
+    /// the last re-score, and how many it has ordered (ablation tests).
+    pub fn skiing(&self) -> &Skiing {
+        &self.skiing
     }
 
     /// Folds in a model round: the view applied one update statement (one
-    /// or more SGD steps) and now serves `model`. Grows the watermark band
-    /// and re-scores exactly the base tuples inside it plus the dynamic
-    /// inserts — everything else provably kept its label (Lemma 3.1).
+    /// or more SGD steps) and now serves `model`. Figure 7's rule: when
+    /// the accumulated waste has reached `α·S` the round re-scores the
+    /// population; otherwise it grows the watermark band and re-scores
+    /// exactly the tuples inside it plus the dynamic inserts — everything
+    /// else provably kept its label (Lemma 3.1).
     pub fn apply_update(&mut self, model: &LinearModel) {
-        self.model = model.clone();
-        self.marks.observe(model);
+        self.lsn += 1;
+        self.model = Arc::new(model.clone());
+        // an empty population has a = 0 = S, and nothing to re-score
+        if !self.pop.entities.is_empty() && self.skiing.should_reorganize() {
+            self.rebase(false);
+        } else {
+            self.band_walk();
+        }
+        let obs = epoch_obs();
+        obs.band_tuples.set(self.band_tuples as f64);
+        obs.skiing_waste.set(self.skiing.accumulated());
+        obs.skiing_s.set(self.skiing.reorg_cost());
+        self.step();
+    }
+
+    /// The incremental step. Charged to Skiing: the band tuples it
+    /// re-scores plus the flip patches publishing its result copies — the
+    /// two costs a re-score resets to zero.
+    fn band_walk(&mut self) {
+        self.marks.observe(&self.model);
         let (lw, hw) = (self.marks.low(), self.marks.high());
+        let (pop, scoring, model) = (&*self.pop, &*self.scoring, &*self.model);
         // the band in eps order: tuples with lw < eps < hw
-        let lo = self.base.by_eps.partition_point(|&i| self.base.eps[i as usize] <= lw);
-        let hi = self.base.by_eps.partition_point(|&i| self.base.eps[i as usize] < hw);
-        for k in lo..hi {
-            let i = self.base.by_eps[k];
-            let e = &self.base.entities[i as usize];
-            if self.removed.contains(&e.id) {
+        let lo = scoring.by_eps.partition_point(|&i| scoring.eps[i as usize] <= lw);
+        let hi = scoring.by_eps.partition_point(|&i| scoring.eps[i as usize] < hw);
+        self.band_tuples = (hi - lo) as u64;
+        let skip_removed = !self.removed.is_empty();
+        let mut ops = 0u64;
+        for &i in &scoring.by_eps[lo..hi] {
+            let e = &pop.entities[i as usize];
+            if skip_removed && self.removed.contains(&e.id) {
                 continue;
             }
-            let old = self.flips.get(&i).copied().unwrap_or(self.base.labels[i as usize]);
-            let new = self.model.predict(&e.f);
-            if new != old {
-                if new > 0 {
-                    self.positive += 1;
-                } else {
-                    self.positive -= 1;
-                }
-                if new == self.base.labels[i as usize] {
+            ops += classify_cost(&e.f);
+            let new = model.predict(&e.f);
+            if new != self.labels_now[i as usize] {
+                self.labels_now[i as usize] = new;
+                // a flip to ±1 moves the positive count by ±1
+                self.positive = self.positive.wrapping_add_signed(new.into());
+                if new == scoring.labels[i as usize] {
                     self.flips.remove(&i);
                 } else {
                     self.flips.insert(i, new);
                 }
             }
         }
-        let mut delta = 0i64;
+        ops += self.flips.len() as u64;
+        self.skiing.add_cost(ops as f64);
+        self.rescore_added();
+    }
+
+    /// Re-labels the dynamic inserts under the current model (no frozen
+    /// `eps` to prune by). Not charged to Skiing: a re-score sheds neither
+    /// this work nor the copy of `added`/`removed` a publish makes — only
+    /// a population rebuild does, and that has its own rule.
+    fn rescore_added(&mut self) {
         for (e, l) in self.added.values_mut() {
             let new = self.model.predict(&e.f);
             if new != *l {
-                delta += if new > 0 { 1 } else { -1 };
+                self.positive = self.positive.wrapping_add_signed(new.into());
                 *l = new;
             }
         }
-        self.positive = (self.positive as i64 + delta) as u64;
-        self.step();
     }
 
     /// Folds in a dynamic insert, classified under the current model. An
     /// id that is already live is replaced (retract + insert), matching
     /// the dataflow layer's set semantics.
     pub fn apply_insert(&mut self, e: Entity) {
+        self.lsn += 1;
         let label = self.model.predict(&e.f);
         if let Some((_, old)) = self.added.remove(&e.id) {
             self.positive -= u64::from(old > 0);
-        } else if let Some(i) = self.base.idx_of(e.id) {
-            if self.removed.insert(e.id) {
-                let old = self.flips.get(&(i as u32)).copied().unwrap_or(self.base.labels[i]);
-                self.positive -= u64::from(old > 0);
-            }
+        } else {
+            self.retract_from_population(e.id);
         }
         self.positive += u64::from(label > 0);
+        // the next population holds this entity, so M must cover it
+        self.marks.raise_m(e.f.norm(self.pair.q));
         self.added.insert(e.id, (Arc::new(e), label));
         self.step();
     }
@@ -630,30 +723,34 @@ impl EpochPublisher {
     /// still advances the LSN and publishes — the logical operation
     /// happened, it just had nothing to retract (idempotent replay).
     pub fn apply_remove(&mut self, id: u64) -> bool {
+        self.lsn += 1;
         let hit = if let Some((_, l)) = self.added.remove(&id) {
             self.positive -= u64::from(l > 0);
             true
-        } else if let Some(i) = self.base.idx_of(id) {
-            if self.removed.insert(id) {
-                let old = self.flips.get(&(i as u32)).copied().unwrap_or(self.base.labels[i]);
-                self.positive -= u64::from(old > 0);
-                true
-            } else {
-                false
-            }
         } else {
-            false
+            self.retract_from_population(id)
         };
         self.step();
         hit
     }
 
-    /// Folds in a reorganization: the view reclustered, so the epoch base
-    /// rebases too — the overlay collapses into a fresh base frozen at the
-    /// current model (band back to zero width).
+    /// Marks population entity `id` retracted; `true` when it was live.
+    fn retract_from_population(&mut self, id: u64) -> bool {
+        match self.pop.idx_of(id) {
+            Some(i) if self.removed.insert(id) => {
+                self.positive -= u64::from(self.labels_now[i] > 0);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Folds in a reorganization: the view reclustered, so the epochs
+    /// rebase too — the whole overlay collapses into a fresh population
+    /// scored under the current model (band back to zero width).
     pub fn apply_reorganize(&mut self) {
-        self.rebase();
         self.lsn += 1;
+        self.rebase(!(self.added.is_empty() && self.removed.is_empty()));
         self.publish_now();
     }
 
@@ -666,22 +763,60 @@ impl EpochPublisher {
         self.publish_now();
     }
 
+    /// Ends a write verb: rebuilds the population when inserts and
+    /// retractions have outgrown the overlay, then publishes.
     fn step(&mut self) {
-        if self.flips.len() + self.added.len() + self.removed.len()
-            > REBASE_FLOOR.max(self.base.entities.len() / 4)
-        {
-            self.rebase();
+        if self.added.len() + self.removed.len() > REBASE_FLOOR.max(self.pop.entities.len() / 4) {
+            self.rebase(true);
         }
-        self.lsn += 1;
         self.publish_now();
     }
 
-    fn rebase(&mut self) {
+    /// The reorganization Skiing pays `S` for: scores the population under
+    /// the current model — one margin per entity, the sort started from
+    /// the previous `eps` order — and resets flips, band and marks. With
+    /// `fold_population` the inserts and retractions are merged into a
+    /// fresh population first (the one step that copies feature payloads);
+    /// without it they stay in the overlay and the population `Arc` is
+    /// shared on.
+    fn rebase(&mut self, fold_population: bool) {
+        let order = if fold_population {
+            self.fold_population();
+            (0..self.pop.entities.len() as u32).collect()
+        } else {
+            self.rescore_added();
+            self.scoring.by_eps.clone()
+        };
+        let (scoring, s) = Scoring::build(&self.pop, &self.model, order);
+        self.labels_now.clone_from(&scoring.labels);
+        self.scoring = Arc::new(scoring);
+        self.flips.clear();
+        let retracted = self.removed.iter().filter(|&&id| {
+            let i = self.pop.idx_of(id).expect("a retracted id is a population id");
+            self.labels_now[i] > 0
+        });
+        self.positive = (self.labels_now.iter().filter(|&&l| l > 0).count() - retracted.count()
+            + self.added.values().filter(|(_, l)| *l > 0).count()) as u64;
+        self.marks = WaterMarks::new(
+            LinearModel::clone(&self.model),
+            self.pair,
+            self.marks.m_norm(),
+            WatermarkPolicy::Monotone,
+        );
+        self.skiing.reorganized(s as f64);
+        epoch_obs().rebases.inc();
+        hazy_obs::emit(hazy_obs::EventKind::EpochRebase, self.lsn, self.band_tuples, s);
+        self.band_tuples = 0;
+    }
+
+    /// Merges `added` and `removed` into a fresh id-sorted population.
+    /// Entity indices change, so only [`rebase`](Self::rebase) calls this.
+    fn fold_population(&mut self) {
         let mut live = Vec::with_capacity(
-            self.base.entities.len() - self.removed.len() + self.added.len(),
+            self.pop.entities.len() - self.removed.len() + self.added.len(),
         );
         let mut add = self.added.iter().peekable();
-        for e in &self.base.entities {
+        for e in &self.pop.entities {
             while let Some((&aid, (ae, _))) = add.peek() {
                 if aid >= e.id {
                     break;
@@ -696,24 +831,17 @@ impl EpochPublisher {
         for (_, (ae, _)) in add {
             live.push(Entity::clone(ae));
         }
-        let (base, positive, m_norm) = EpochBase::build(live, &self.model, self.pair);
-        self.base = Arc::new(base);
-        self.marks =
-            WaterMarks::new(self.model.clone(), self.pair, m_norm, WatermarkPolicy::Monotone);
-        self.flips.clear();
+        self.pop = Arc::new(Population { entities: live });
         self.added.clear();
         self.removed.clear();
-        self.positive = positive;
-        self.rebases += 1;
-        epoch_obs().rebases.inc();
-        hazy_obs::emit(hazy_obs::EventKind::EpochRebase, self.lsn, 0, 0);
     }
 
     fn publish_now(&self) {
         self.cell.publish(ModelEpoch {
             lsn: self.lsn,
-            model: self.model.clone(),
-            base: Arc::clone(&self.base),
+            model: Arc::clone(&self.model),
+            pop: Arc::clone(&self.pop),
+            scoring: Arc::clone(&self.scoring),
             flips: self.flips.clone(),
             added: self.added.clone(),
             removed: self.removed.clone(),
@@ -1020,6 +1148,40 @@ mod tests {
         assert_eq!(cell.pin().classify(4), Some(1));
         let ids = cell.pin().positive_ids();
         assert_eq!(ids.iter().filter(|&&i| i == 4).count(), 1, "duplicate id in listing: {ids:?}");
+    }
+
+    /// A Skiing rebase re-scores the population every epoch already
+    /// shares; only a population change rebuilds it.
+    #[test]
+    fn skiing_rebase_shares_the_population() {
+        let es = entities(200);
+        let mut p =
+            EpochPublisher::new(es.clone(), model(vec![0.3, -0.2], 0.0), NormPair::EUCLIDEAN, 0);
+        let cell = p.handle();
+        p.apply_insert(Entity::new(900, FeatureVec::dense(vec![0.2, -0.1])));
+        p.apply_remove(5);
+        let before = cell.pin();
+        let mut cur = model(vec![0.3, -0.2], 0.0);
+        for k in 1..=40 {
+            let t = f64::from(k) * 0.05;
+            cur = model(vec![0.3 - t, -0.2 + t], 0.02 * t);
+            p.apply_update(&cur);
+        }
+        assert!(p.skiing().reorgs() >= 2, "drift never reached α·S: {:?}", p.skiing());
+        let after = cell.pin();
+        assert!(Arc::ptr_eq(&before.pop, &after.pop), "a Skiing rebase copied the population");
+        assert!(!Arc::ptr_eq(&before.scoring, &after.scoring));
+        assert_eq!((after.added.len(), after.removed.len()), (1, 1), "overlay must survive");
+        assert_eq!(after.classify(5), None);
+        for e in es.iter().filter(|e| e.id != 5) {
+            assert_eq!(after.classify(e.id), Some(cur.predict(&e.f)), "id {}", e.id);
+        }
+        // an explicit reorganization folds the overlay into a new population
+        p.apply_reorganize();
+        let folded = cell.pin();
+        assert!(!Arc::ptr_eq(&after.pop, &folded.pop));
+        assert_eq!(folded.overlay_len(), 0);
+        assert_eq!(folded.positive_ids(), after.positive_ids());
     }
 
     #[test]

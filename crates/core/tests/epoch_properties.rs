@@ -15,15 +15,21 @@
 //!   `#[global_allocator]` shim, the bytes live before building a
 //!   publisher equal the bytes live after dropping it: every epoch ever
 //!   published was freed exactly once (a leak leaves the count high, a
-//!   double free — if it survived — would leave it low).
+//!   double free — if it survived — would leave it low);
+//! * **Skiing rebases** — under drifts large enough to make the publisher
+//!   re-score several times a script, every answer after every operation
+//!   equals from-scratch scoring, a pin taken before the rebases keeps its
+//!   answers, and a rebase allocates a scoring (13 bytes an entity), not a
+//!   population.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
-use hazy_core::{Architecture, Entity, EpochPublisher, Mode, ViewBuilder};
-use hazy_learn::TrainingExample;
-use hazy_linalg::NormPair;
-use hazy_testkit::{builder, grid_entities, grid_feature, BoxedView};
+use hazy_core::{rank_order, Architecture, Entity, EpochPublisher, Mode, ModelEpoch, ViewBuilder};
+use hazy_learn::{LinearModel, TrainingExample};
+use hazy_linalg::{FeatureVec, NormPair};
+use hazy_testkit::{builder, grid_entities, grid_feature, splitmix64, BoxedView};
 use proptest::prelude::*;
 
 /// Counts net live bytes per thread. Thread-local so the parallel test
@@ -33,6 +39,8 @@ struct CountingAlloc;
 
 thread_local! {
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// Bytes ever requested on this thread (never decremented).
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -40,6 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + layout.size() as i64));
+            let _ = ALLOCATED_BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
         }
         p
     }
@@ -55,6 +64,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn live_bytes() -> i64 {
     LIVE_BYTES.with(|c| c.get())
+}
+
+fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.with(|c| c.get())
 }
 
 fn build_view(arch: Architecture, mode: Mode) -> BoxedView {
@@ -189,6 +202,179 @@ proptest! {
         prop_assert_eq!(es.retired_live, 0, "retired chain not drained after unpin");
         prop_assert_eq!(es.reclaimed + 1, es.published, "exactly the current epoch survives");
     }
+}
+
+/// One step of a model drift or a population change, applied to the
+/// publisher alone: its answers are checked against direct scoring, so no
+/// engine is needed — and the drifts can be far larger than SGD takes.
+#[derive(Clone, Debug)]
+enum DriftOp {
+    Drift(u8, u8, u8),
+    Insert(u8, u8),
+    Remove(u16),
+}
+
+fn arb_drift_op() -> impl Strategy<Value = DriftOp> {
+    prop_oneof![
+        6 => (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(a, b, c)| DriftOp::Drift(a, b, c)),
+        2 => (any::<u8>(), any::<u8>()).prop_map(|(a, b)| DriftOp::Insert(a, b)),
+        2 => any::<u16>().prop_map(DriftOp::Remove),
+    ]
+}
+
+/// Every answer an epoch serves, for comparison and for freezing.
+#[derive(Debug, PartialEq)]
+struct Answers {
+    labels: Vec<(u64, Option<i8>)>,
+    count: u64,
+    members: Vec<u64>,
+    top: Vec<(u64, u64)>,
+}
+
+fn answers_of(epoch: &ModelEpoch, ids: &[u64]) -> Answers {
+    Answers {
+        labels: ids.iter().map(|&id| (id, epoch.classify(id))).collect(),
+        count: epoch.count_positive(),
+        members: epoch.positive_ids(),
+        top: epoch.top_k(7).into_iter().map(|(id, m)| (id, m.to_bits())).collect(),
+    }
+}
+
+/// The same answers from scratch: one margin per live entity under `model`.
+fn scored_from_scratch(live: &BTreeMap<u64, Entity>, model: &LinearModel, ids: &[u64]) -> Answers {
+    let members: Vec<u64> =
+        live.values().filter(|e| model.predict(&e.f) > 0).map(|e| e.id).collect();
+    let mut ranked: Vec<(u64, f64)> = live.values().map(|e| (e.id, model.margin(&e.f))).collect();
+    ranked.sort_by(rank_order);
+    Answers {
+        labels: ids.iter().map(|&id| (id, live.get(&id).map(|e| model.predict(&e.f)))).collect(),
+        count: members.len() as u64,
+        members,
+        top: ranked.into_iter().take(7).map(|(id, m)| (id, m.to_bits())).collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Drifts of a few tenths per round put most of the corpus inside the
+    /// band, so Skiing re-scores every few rounds. After every operation
+    /// the current epoch equals from-scratch scoring of the live entities,
+    /// and a pin taken early in the script still serves its frozen answers
+    /// after at least two rebases happened behind it.
+    #[test]
+    fn answers_match_scratch_scoring_across_skiing_rebases(
+        ops in prop::collection::vec(arb_drift_op(), 40..100),
+        pin_at_raw in any::<u8>(),
+    ) {
+        let drifts = ops.iter().filter(|op| matches!(op, DriftOp::Drift(..))).count();
+        prop_assume!(drifts >= 16);
+        let mut live: BTreeMap<u64, Entity> =
+            grid_entities(96).into_iter().map(|e| (e.id, e)).collect();
+        let mut w = [0.4f64, -0.3, 0.05];
+        let mut model = LinearModel::from_parts(w.to_vec(), 0.0);
+        let mut publisher = EpochPublisher::new(
+            live.values().cloned().collect(), model.clone(), NormPair::EUCLIDEAN, 0,
+        );
+        let cell = publisher.handle();
+        let mut next_id = 95u64;
+        let pin_at = usize::from(pin_at_raw) % (ops.len() / 4);
+        let mut pinned = None;
+
+        for (step, op) in ops.iter().enumerate() {
+            if step == pin_at {
+                let pin = cell.pin();
+                let ids: Vec<u64> = (0..=next_id + 1).collect();
+                let frozen = answers_of(&pin, &ids);
+                pinned = Some((pin, ids, frozen, publisher.rebases()));
+            }
+            match op {
+                DriftOp::Drift(a, b, c) => {
+                    w[0] += (f64::from(*a) / 255.0 - 0.5) * 0.6;
+                    w[1] += (f64::from(*b) / 255.0 - 0.5) * 0.6;
+                    model = LinearModel::from_parts(w.to_vec(), (f64::from(*c) / 255.0 - 0.5) * 0.2);
+                    publisher.apply_update(&model);
+                }
+                DriftOp::Insert(a, b) => {
+                    next_id += 1;
+                    let e = Entity::new(next_id, grid_feature(*a, *b));
+                    live.insert(e.id, e.clone());
+                    publisher.apply_insert(e);
+                }
+                DriftOp::Remove(raw) => {
+                    let id = u64::from(*raw) % (next_id + 1);
+                    prop_assert_eq!(publisher.apply_remove(id), live.remove(&id).is_some());
+                }
+            }
+            cell.try_collect();
+            let ids: Vec<u64> = (0..=next_id + 1).collect();
+            prop_assert_eq!(
+                answers_of(&cell.pin(), &ids),
+                scored_from_scratch(&live, &model, &ids),
+                "after step {} ({:?})", step, op
+            );
+        }
+
+        let (pin, ids, frozen, rebases_at_pin) = pinned.expect("pin_at is inside the script");
+        prop_assert!(
+            publisher.skiing().reorgs() >= rebases_at_pin + 2,
+            "only {} rebases behind the pin", publisher.rebases() - rebases_at_pin
+        );
+        prop_assert_eq!(answers_of(&pin, &ids), frozen, "pinned answers moved across a rebase");
+    }
+}
+
+/// A dense-54 corpus the size of a small shard, from the kit's RNG.
+fn dense54_entities(n: usize) -> Vec<Entity> {
+    let mut r = 0xD54_u64;
+    (0..n as u64)
+        .map(|id| {
+            let f: Vec<f32> =
+                (0..54).map(|_| (splitmix64(&mut r) % 2001) as f32 / 1000.0 - 1.0).collect();
+            Entity::new(id, FeatureVec::dense(f))
+        })
+        .collect()
+}
+
+/// A Skiing rebase allocates a scoring — `eps`, label, `by_eps` slot: 13
+/// bytes an entity, plus the stable sort's scratch — and never a population
+/// (≈ 250 bytes an entity here). The rebuild after a population change is
+/// measured beside it as the contrast.
+#[test]
+fn skiing_rebase_allocates_a_scoring_not_a_population() {
+    let n = 4_000;
+    let entities = dense54_entities(n);
+    let mut w = vec![0.0f64; 54];
+    w[0] = 1.0;
+    let mut publisher = EpochPublisher::new(
+        entities,
+        LinearModel::from_parts(w.clone(), 0.0),
+        NormPair::EUCLIDEAN,
+        0,
+    );
+    let mut drift = |publisher: &mut EpochPublisher| {
+        let round = publisher.lsn() as usize;
+        assert!(round < 10_000, "drift never reached α·S");
+        w[round % 54] += 0.01;
+        publisher.apply_update(&LinearModel::from_parts(w.clone(), 0.0));
+    };
+    while !publisher.skiing().should_reorganize() {
+        drift(&mut publisher);
+    }
+    let (rebases, before) = (publisher.rebases(), allocated_bytes());
+    drift(&mut publisher);
+    let rebase_bytes = allocated_bytes() - before;
+    assert_eq!(publisher.rebases(), rebases + 1, "the round after α·S must rebase");
+    assert!(
+        rebase_bytes < 32 * n as u64,
+        "a Skiing rebase of {n} entities allocated {rebase_bytes} bytes"
+    );
+
+    publisher.apply_insert(Entity::new(n as u64, FeatureVec::dense(vec![0.5; 54])));
+    let before = allocated_bytes();
+    publisher.apply_reorganize();
+    let fold_bytes = allocated_bytes() - before;
+    assert!(fold_bytes > 200 * n as u64, "a population rebuild allocated only {fold_bytes} bytes");
 }
 
 /// The allocation-balance proof. One measured scope builds a publisher,

@@ -113,6 +113,12 @@ fn show_metrics_and_events_cover_every_subsystem() {
     ] {
         assert!(metric(&rows, name) > 0.0, "{name} should be live, rows: {rows:?}");
     }
+    // the publisher's Lemma 3.1 / Skiing quantities: band and waste are
+    // registered (both may read zero right after a re-score), S is live
+    // once a model round has been published
+    assert!(metric(&rows, "core_epoch_band_tuples") >= 0.0);
+    assert!(metric(&rows, "core_epoch_skiing_waste") >= 0.0);
+    assert!(metric(&rows, "core_epoch_skiing_s") > 0.0);
     // histograms surface as percentile sub-rows
     assert!(rows.iter().any(|(n, _)| n == "front_request_ns_p99"), "histogram expansion");
 

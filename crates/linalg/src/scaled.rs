@@ -126,22 +126,21 @@ impl ScaledDense {
     }
 
     /// `‖w − other‖_p` — the model-delta norm in the watermark bound.
+    /// Accumulates only the requested norm, in index order (a missing
+    /// component counts as zero).
     pub fn diff_norm(&self, other: &ScaledDense, p: Norm) -> f64 {
-        let n = self.v.len().max(other.v.len());
-        let mut l1 = 0.0f64;
-        let mut l2 = 0.0f64;
-        let mut linf = 0.0f64;
-        for i in 0..n {
-            let d = self.get(i) - other.get(i);
-            let a = d.abs();
-            l1 += a;
-            l2 += d * d;
-            linf = linf.max(a);
-        }
+        let common = self.v.len().min(other.v.len());
+        let (s, t) = (self.s, other.s);
+        let diffs = self.v[..common]
+            .iter()
+            .zip(&other.v[..common])
+            .map(|(&x, &y)| s * x - t * y)
+            .chain(self.v[common..].iter().map(|&x| s * x - 0.0))
+            .chain(other.v[common..].iter().map(|&y| 0.0 - t * y));
         match p {
-            Norm::L1 => l1,
-            Norm::L2 => l2.sqrt(),
-            Norm::LInf => linf,
+            Norm::L1 => diffs.fold(0.0, |acc, d| acc + d.abs()),
+            Norm::L2 => diffs.fold(0.0, |acc, d| acc + d * d).sqrt(),
+            Norm::LInf => diffs.fold(0.0, |acc: f64, d| acc.max(d.abs())),
         }
     }
 }

@@ -37,8 +37,10 @@ pub enum EventKind {
     RetryExhausted,
     /// An epoch snapshot was published: `a` = its high LSN.
     EpochPublish,
-    /// A replayed epoch chain was rebased onto a fresh base: `a` = high
-    /// LSN after rebase.
+    /// An epoch publisher re-scored its population (Skiing's rule, a
+    /// population rebuild, or an explicit reorganization): `a` = LSN of
+    /// the rebased epoch, `b` = tuples the `[lw, hw]` band held when it
+    /// was reset, `c` = charged cost `S` of the re-score (ops).
     EpochRebase,
     /// Epoch GC freed retired snapshots: `a` = snapshots reclaimed,
     /// `b` = still retired (live pins hold them).
@@ -138,7 +140,7 @@ impl Event {
             }
             RetryExhausted => format!("attempts={} backoff_ns={}", self.a, self.b),
             EpochPublish => format!("lsn={}", self.a),
-            EpochRebase => format!("lsn={}", self.a),
+            EpochRebase => format!("lsn={} band_tuples={} s={}", self.a, self.b, self.c),
             EpochReclaim => format!("reclaimed={} retired={}", self.a, self.b),
             AdvisorDecision => format!("from={} to={} regret_ns={}", self.a, self.b, self.c),
             MigrationStart => format!("from={} to={} auto={}", self.a, self.b, self.c),

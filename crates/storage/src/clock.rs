@@ -106,6 +106,16 @@ impl IoStats {
     }
 }
 
+/// CPU operations a comparison-sort of `n` elements is charged: `n log2 n`,
+/// nothing below two elements.
+pub fn sort_ops(n: u64) -> u64 {
+    if n > 1 {
+        n * (64 - n.leading_zeros() as u64)
+    } else {
+        0
+    }
+}
+
 /// A shared, monotone, deterministic clock measured in virtual nanoseconds.
 #[derive(Clone, Debug)]
 pub struct VirtualClock {
@@ -148,10 +158,7 @@ impl VirtualClock {
     /// is what makes reorganization asymptotically dearer than a scan, the
     /// σ → 0 limit behind Theorem 3.3.
     pub fn charge_sort(&self, n: u64) {
-        if n > 1 {
-            let logn = 64 - n.leading_zeros() as u64;
-            self.charge_cpu_ops(n * logn);
-        }
+        self.charge_cpu_ops(sort_ops(n));
     }
 
     /// Charges a linear merge of `n` elements (one comparison + one move

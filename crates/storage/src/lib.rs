@@ -38,7 +38,7 @@ pub mod wal;
 
 pub use btree::BTree;
 pub use buffer::BufferPool;
-pub use clock::{CostModel, IoStats, VirtualClock};
+pub use clock::{sort_ops, CostModel, IoStats, VirtualClock};
 pub use disk::{DiskFault, PageId, SimDisk, PAGE_SIZE};
 pub use error::StorageError;
 pub use hash_index::HashIndex;
