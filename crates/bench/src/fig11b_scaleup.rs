@@ -41,11 +41,11 @@ pub fn run() -> String {
     for threads in [1usize, 2, 4, 8, 16, 32] {
         let total = AtomicU64::new(0);
         let t0 = Instant::now();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let view = &view;
                 let total = &total;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     // cheap deterministic per-thread id sequence
                     let mut x = 0x9E3779B9u64.wrapping_mul(t as u64 + 1) | 1;
                     let mut served = 0;
@@ -61,8 +61,7 @@ pub fn run() -> String {
                     total.fetch_add(served, Ordering::Relaxed);
                 });
             }
-        })
-        .expect("reader threads never panic");
+        });
         let wall = t0.elapsed().as_secs_f64();
         let served = total.load(Ordering::Relaxed);
         rows.push(vec![

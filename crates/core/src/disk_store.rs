@@ -253,7 +253,15 @@ impl Store for DiskStore {
             c.btree
                 .upsert(&mut self.pool, eps_key(t.eps, t.id), rid.to_u64());
         }
-        self.index(t.id, rid);
+        // the index insert every append makes reports a live id: its old
+        // record is retired like any removal and the id re-pointed
+        match self.hash.insert(&mut self.pool, t.id, rid.to_u64()) {
+            Err(StorageError::DuplicateKey) => {
+                self.delete(t.id);
+                self.index(t.id, rid);
+            }
+            r => r.expect("this path injects no device faults"),
+        }
     }
 
     fn delete(&mut self, id: u64) -> bool {

@@ -1,6 +1,5 @@
 //! Entities and the on-disk tuple format of the scratch table `H`.
 
-use bytes::BufMut;
 use hazy_linalg::{decode_fvec, decode_fvec_ref, encode_fvec, encoded_len, FeatureVec, FeatureVecRef};
 use hazy_learn::Label;
 use hazy_storage::StorageError;
@@ -70,9 +69,9 @@ impl HTupleRef<'_> {
 /// in-place page updates always succeed.
 pub fn encode_tuple(t: &HTuple, out: &mut Vec<u8>) {
     out.reserve(TUPLE_HEADER + encoded_len(&t.f));
-    out.put_u64_le(t.id);
-    out.put_u8(t.label as u8);
-    out.put_f64_le(t.eps);
+    out.extend_from_slice(&t.id.to_le_bytes());
+    out.push(t.label as u8);
+    out.extend_from_slice(&t.eps.to_le_bytes());
     encode_fvec(&t.f, out);
 }
 

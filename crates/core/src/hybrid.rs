@@ -328,6 +328,8 @@ impl ClassifierView for HybridView {
     fn insert_entity(&mut self, e: Entity) {
         let eps = self.inner.wm.stored_model().margin(&e.f);
         self.eps_map.insert(e.id, eps);
+        // a live id is replaced: its buffered feature vector is stale
+        self.buffer.remove(&e.id);
         self.inner.insert_entity(e);
     }
 

@@ -65,6 +65,23 @@ impl MemStore {
         )
     }
 
+    /// Order-preserving removal of the tuple at `idx`, whose id the caller
+    /// has already unmapped: the sorted run stays sorted and the tail keeps
+    /// its insertion order; every tuple behind the removed slot shifts down
+    /// one position.
+    fn remove_at(&mut self, idx: u32) {
+        self.data.remove(idx as usize);
+        if (idx as usize) < self.sorted_len {
+            self.sorted_len -= 1;
+        }
+        for v in self.idmap.values_mut() {
+            if *v > idx {
+                *v -= 1;
+            }
+        }
+        self.clock.charge_cpu_ops(self.data.len() as u64);
+    }
+
     fn reindex(&mut self) {
         self.idmap.clear();
         self.idmap
@@ -112,7 +129,11 @@ impl Store for MemStore {
     }
 
     fn append(&mut self, t: HTuple) {
-        self.idmap.insert(t.id, self.data.len() as u32);
+        // the map insert every append makes is also the live-id test; the
+        // new mapping (one past the end) shifts down with the rest
+        if let Some(old) = self.idmap.insert(t.id, self.data.len() as u32) {
+            self.remove_at(old);
+        }
         self.data.push(t);
     }
 
@@ -120,19 +141,7 @@ impl Store for MemStore {
         let Some(idx) = self.idmap.remove(&id) else {
             return false;
         };
-        // order-preserving removal: the sorted run stays sorted and the
-        // tail keeps its insertion order; every tuple behind the removed
-        // slot shifts down one position
-        self.data.remove(idx as usize);
-        if (idx as usize) < self.sorted_len {
-            self.sorted_len -= 1;
-        }
-        for v in self.idmap.values_mut() {
-            if *v > idx {
-                *v -= 1;
-            }
-        }
-        self.clock.charge_cpu_ops(self.data.len() as u64);
+        self.remove_at(idx);
         true
     }
 

@@ -124,7 +124,9 @@ pub trait Store: Sized {
     /// Live tuples.
     fn len(&self) -> u64;
 
-    /// Appends one tuple (to the tail, when clustered) and indexes it.
+    /// Appends one tuple (to the tail, when clustered) and indexes it; the
+    /// tuple of a live id is replaced. A fresh id pays no probe for that:
+    /// the collision is reported by the index insert every append makes.
     fn append(&mut self, t: HTuple);
 
     /// Removes entity `id`; `false` when unknown.

@@ -246,7 +246,9 @@ pub trait ClassifierView {
     fn top_k(&mut self, k: usize) -> Vec<(u64, f64)>;
 
     /// Type-(1) dynamic data: a brand-new entity arrives and is classified
-    /// under the current model.
+    /// under the current model. Ids are a key: inserting one the view
+    /// already holds **replaces** that entity (retract + insert, the
+    /// dataflow layer's set semantics).
     fn insert_entity(&mut self, e: Entity);
 
     /// Retracts entity `id` from the view: the inverse of

@@ -30,8 +30,8 @@ use hazy_linalg::NormPair;
 use hazy_storage::WalReader;
 use hazy_testkit::{
     apply, assert_answers_match, assert_models_bit_identical, assert_ranked_bit_identical,
-    assert_stats_match, boundaries, build_plain, builder, durable, durable_run, recover, restorer, script, seed, Op,
-    PrefixOracle, Shape,
+    assert_stats_match, boundaries, build_plain, builder, check_minimized, durable, durable_run,
+    recover, restorer, script, seed, Op, PrefixOracle, Shape,
 };
 
 /// Auto-checkpoint interval (every boundary replays at most this many ops).
@@ -41,16 +41,22 @@ const TOP_K: usize = 7;
 
 const SHAPE: Shape = Shape::CRASH_520;
 
+/// One matrix cell. On a diff the script is delta-debugged under the same
+/// walk first, so the failure names the few ops that matter (printed as a
+/// pasteable `vec![Op::…]`), not a 520-op script and a seed.
 fn run_config(arch: Architecture, mode: Mode, shards: usize) {
-    let seed = seed();
-    let (ops, population) = script(seed, &SHAPE);
+    let (ops, population) = script(seed(), &SHAPE);
+    check_minimized(&ops, |ops| crash_walk(arch, mode, shards, ops, &population));
+}
+
+fn crash_walk(arch: Architecture, mode: Mode, shards: usize, ops: &[Op], population: &[u64]) {
     let b = builder(arch, mode);
     let build = || build_plain(&b, shards, SHAPE.base_entities());
-    let ctx_base = format!("{}/{}/shards={shards}/seed={seed}", arch.name(), mode.name());
+    let ctx_base = format!("{}/{}/shards={shards}/seed={}", arch.name(), mode.name(), seed());
 
-    let images = durable_run(build(), CKPT_INTERVAL, &ops);
-    let mut clean = PrefixOracle::new(&ops, build());
-    let mut probe = PrefixOracle::new(&ops, build());
+    let images = durable_run(build(), CKPT_INTERVAL, ops);
+    let mut clean = PrefixOracle::new(ops, build());
+    let mut probe = PrefixOracle::new(ops, build());
 
     for (boundary, image, durable_ops) in boundaries(&images) {
         // the durable prefix: exactly the ops whose WAL records survived
@@ -69,7 +75,7 @@ fn run_config(arch: Architecture, mode: Mode, shards: usize) {
         // still recovers + checks stats/model above; full answer sweeps at
         // every 7th boundary (and the last) keep the suite fast
         if boundary % 7 == 0 || boundary == images.len() - 1 {
-            assert_answers_match(&mut recovered, probe.view.as_mut(), &population, TOP_K, &ctx);
+            assert_answers_match(&mut recovered, probe.view.as_mut(), population, TOP_K, &ctx);
         } else {
             assert_eq!(
                 recovered.count_positive(),

@@ -280,3 +280,124 @@ fn lazy_hazy_scans_cheaper_than_lazy_naive() {
     let (naive, hazy) = (costs[0], costs[1]);
     assert!(hazy < naive, "lazy hazy scan ({hazy} ns) vs naive ({naive} ns)");
 }
+
+/// Inserting an id the view already holds **replaces** the entity (set
+/// semantics): engine, pinned epoch and a from-scratch view over the
+/// replaced population agree. Replaced here: an entity of the ε-sorted
+/// run, the two entities nearest the decision boundary (features swapped,
+/// so both labels flip) and one still in the unsorted tail — then again
+/// after a reorganization.
+#[test]
+fn inserting_a_live_id_replaces_the_entity() {
+    use hazy_core::{ClassifierView, PublishedView};
+    use hazy_learn::{LinearModel, TrainingExample};
+    use hazy_linalg::NormPair;
+    use hazy_testkit::{builder, grid_entities, grid_feature, splitmix64};
+
+    // a learnable concept (the sign of the first coordinate), so the
+    // population keeps both labels
+    fn examples(r: &mut u64) -> Vec<TrainingExample> {
+        let mut byte = || (splitmix64(r) % 256) as u8;
+        (0..24)
+            .map(|_| {
+                let a = byte();
+                TrainingExample::new(0, grid_feature(a, byte()), if a >= 128 { 1 } else { -1 })
+            })
+            .collect()
+    }
+    fn nearest(model: &LinearModel, population: &[Entity], positive: bool) -> Entity {
+        let margin = |e: &&Entity| model.margin(&e.f).abs();
+        population
+            .iter()
+            .filter(|e| (model.margin(&e.f) > 0.0) == positive)
+            .min_by(|x, y| margin(x).total_cmp(&margin(y)))
+            .expect("both labels present")
+            .clone()
+    }
+    let bits = |ranked: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+        ranked.into_iter().map(|(id, m)| (id, m.to_bits())).collect()
+    };
+
+    for arch in Architecture::all() {
+        for mode in [Mode::Eager, Mode::Lazy] {
+            let b = builder(arch, mode);
+            let mut population = grid_entities(48);
+            let mut view =
+                PublishedView::new(b.build(population.clone(), &[]), NormPair::EUCLIDEAN, 0);
+            let cell = view.cell().clone();
+            let mut r = 0x0011_FE1D;
+            let mut trained = examples(&mut r);
+            view.update_batch(&trained);
+            view.reorganize();
+            population.push(Entity::new(100, grid_feature(3, 250)));
+            view.insert_entity(population[48].clone());
+
+            for round in 0..2 {
+                let model = view.engine().model().clone();
+                let (p, n) = (nearest(&model, &population, true), nearest(&model, &population, false));
+                for e in [
+                    Entity::new(p.id, n.f),
+                    Entity::new(n.id, p.f),
+                    Entity::new(7, grid_feature(250, 9)),
+                    Entity::new(100, grid_feature(128, 17 + round)),
+                ] {
+                    view.insert_entity(e.clone());
+                    let id = e.id;
+                    *population.iter_mut().find(|x| x.id == id).expect("live id") = e;
+                }
+                let batch = examples(&mut r);
+                view.update_batch(&batch);
+                trained.extend(batch);
+
+                let mut scratch = b.build(population.clone(), &[]);
+                for batch in trained.chunks(24) {
+                    scratch.update_batch(batch);
+                }
+                let ids: Vec<u64> = population.iter().map(|e| e.id).collect();
+                let mut members = scratch.positive_ids();
+                members.sort_unstable();
+                let want = (
+                    scratch.entity_count(),
+                    scratch.count_positive(),
+                    members,
+                    bits(scratch.top_k(9)),
+                    ids.iter().map(|&id| scratch.read_single(id)).collect::<Vec<_>>(),
+                );
+                let pin = cell.pin();
+                let pinned = (
+                    pin.entity_count(),
+                    pin.count_positive(),
+                    pin.positive_ids(),
+                    bits(pin.top_k(9)),
+                    ids.iter().map(|&id| pin.classify(id)).collect::<Vec<_>>(),
+                );
+                let ctx = format!("{}/{}/round {round}", arch.name(), mode.name());
+                assert_eq!(pinned, want, "{ctx}: pinned epoch vs from-scratch");
+                let mut members = view.positive_ids();
+                members.sort_unstable();
+                let engine = (
+                    view.engine().entity_count(),
+                    view.count_positive(),
+                    members,
+                    bits(view.top_k(9)),
+                    ids.iter().map(|&id| view.read_single(id)).collect::<Vec<_>>(),
+                );
+                assert_eq!(engine, want, "{ctx}: engine vs from-scratch");
+                view.reorganize();
+            }
+        }
+    }
+
+    // the hybrid's boundary buffer holds feature vectors: with every tuple
+    // uncertain and buffered each read is a buffer hit, and none may serve
+    // the vector that was replaced
+    let population = grid_entities(48);
+    let mut hybrid = builder(Architecture::Hybrid, Mode::Eager)
+        .build_hybrid(population.clone(), &examples(&mut 0x0011_FE1D));
+    hybrid.set_uncertain_fraction(1.0);
+    hybrid.set_buffer_frac(1.0);
+    let model = hybrid.model().clone();
+    let (p, n) = (nearest(&model, &population, true), nearest(&model, &population, false));
+    hybrid.insert_entity(Entity::new(p.id, n.f.clone()));
+    assert_eq!(hybrid.read_single(p.id), Some(model.predict(&n.f)), "hybrid: stale buffer entry");
+}

@@ -44,7 +44,7 @@ pub enum Request {
         /// The examples, in arrival order.
         batch: Vec<TrainingExample>,
     },
-    /// New-entity arrival (classified on insert).
+    /// New-entity arrival (classified on insert); a live id is replaced.
     Insert {
         /// Entity key.
         id: u64,

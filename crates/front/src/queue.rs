@@ -26,9 +26,10 @@ struct State<T> {
 }
 
 /// A bounded MPMC queue with admission-or-reject semantics. Hand-rolled on
-/// a mutex + condvar (the vendored `crossbeam` stand-in only ships
-/// unbounded channels, and admission control needs the bound enforced
-/// atomically with the push).
+/// a mutex + condvar because a channel offers neither half of what a lane
+/// needs: admission control wants the bound enforced atomically with the
+/// push (full means *reject now*, not block), and `pop_batch` drains a
+/// whole run of queued items under one lock acquisition.
 pub(crate) struct Bounded<T> {
     state: Mutex<State<T>>,
     ready: Condvar,

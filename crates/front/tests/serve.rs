@@ -235,6 +235,45 @@ fn tcp_round_trip_with_pipelining() {
     assert_eq!(stats.errors, 0);
 }
 
+/// Inserting a live id replaces the entity: the same `Insert` sent twice
+/// over a socket is acknowledged twice and the second changes nothing —
+/// not the positive count, not the population a full-depth `TopK` ranks —
+/// whether reads are served from epochs (sharded) or by the engine itself.
+#[test]
+fn tcp_insert_of_a_live_id_replaces_it() {
+    let builder = ViewBuilder::new(Architecture::HazyMem, Mode::Eager).dim(2);
+    let sharded = ShardedView::build(&builder, 2, entities(20), &[]);
+    let mut seen = Vec::new();
+    for front in [
+        Front::serve_sharded(sharded, FrontConfig::default()),
+        Front::serve_engine(builder.build(entities(20), &[]), FrontConfig::default()),
+    ] {
+        let server = TcpFront::bind("127.0.0.1:0", front.handle()).expect("bind");
+        let mut c = TcpClient::connect(server.local_addr()).expect("connect");
+        for batch in train_batches(3, 4) {
+            let applied = batch.len() as u64;
+            assert_eq!(c.call(&Request::Train { batch }).expect("call"), Response::Done { applied });
+        }
+        for _ in 0..2 {
+            let insert = Request::Insert { id: 3, f: dense2(0.45, -0.2) };
+            assert_eq!(c.call(&insert).expect("call"), Response::Done { applied: 1 });
+            let count = c.call(&Request::CountPositive).expect("call");
+            assert!(matches!(count, Response::Count(_)), "{count:?}");
+            let ranked = match c.call(&Request::TopK { k: 64 }).expect("call") {
+                Response::Ranked(r) => r,
+                other => panic!("{other:?}"),
+            };
+            assert_eq!(ranked.len(), 20, "a replaced entity is still one entity");
+            seen.push((count, ranked, c.call(&Request::Classify { id: 3 }).expect("call")));
+        }
+        server.shutdown();
+        let stats = front.shutdown();
+        assert_eq!(stats.completed, stats.admitted);
+        assert_eq!(stats.errors, 0);
+    }
+    assert!(seen.windows(2).all(|w| w[0] == w[1]), "a repeated insert changed an answer: {seen:?}");
+}
+
 /// A metrics scrape is an ordinary protocol request: a `MetricsDump`
 /// frame over a real socket comes back as Prometheus-style text carrying
 /// live front-end counters — and it is answered at admission, so it also

@@ -9,47 +9,11 @@
 //! sparse:  0x02 | dim: u32 | nnz: u32 | nnz × u32 (idx) | nnz × f32 (val)
 //! ```
 
-use bytes::{Buf, BufMut};
-
 use crate::vector::FeatureVec;
 use crate::vref::FeatureVecRef;
 
 const TAG_DENSE: u8 = 0x01;
 const TAG_SPARSE: u8 = 0x02;
-
-/// Reads `n` little-endian 4-byte scalars, preferring one bulk pass over
-/// the contiguous front chunk (per-element `Buf` reads pay a bounds check
-/// and a 4-byte copy each; the bulk path is a straight chunked conversion
-/// the compiler vectorizes). `one` is the per-element fallback for
-/// non-contiguous buffers.
-fn read_scalars<B: Buf, T>(
-    buf: &mut B,
-    n: usize,
-    from_le: impl Fn([u8; 4]) -> T,
-    one: impl Fn(&mut B) -> T,
-) -> Vec<T> {
-    let front = buf.chunk();
-    if front.len() >= 4 * n {
-        let out: Vec<T> = front[..4 * n]
-            .chunks_exact(4)
-            .map(|b| from_le(b.try_into().expect("4-byte chunk")))
-            .collect();
-        buf.advance(4 * n);
-        out
-    } else {
-        (0..n).map(|_| one(buf)).collect()
-    }
-}
-
-/// Reads `n` little-endian `u32`s (bulk when contiguous).
-fn read_u32s(buf: &mut impl Buf, n: usize) -> Vec<u32> {
-    read_scalars(buf, n, u32::from_le_bytes, |b| b.get_u32_le())
-}
-
-/// Reads `n` little-endian `f32`s (bulk when contiguous).
-fn read_f32s(buf: &mut impl Buf, n: usize) -> Vec<f32> {
-    read_scalars(buf, n, f32::from_le_bytes, |b| b.get_f32_le())
-}
 
 /// Exact encoded size in bytes of `f` (header + payload).
 pub fn encoded_len(f: &FeatureVec) -> usize {
@@ -60,24 +24,24 @@ pub fn encoded_len(f: &FeatureVec) -> usize {
 }
 
 /// Appends the encoding of `f` to `out`.
-pub fn encode_fvec(f: &FeatureVec, out: &mut impl BufMut) {
+pub fn encode_fvec(f: &FeatureVec, out: &mut Vec<u8>) {
     match f {
         FeatureVec::Dense(c) => {
-            out.put_u8(TAG_DENSE);
-            out.put_u32_le(c.len() as u32);
+            out.push(TAG_DENSE);
+            out.extend_from_slice(&(c.len() as u32).to_le_bytes());
             for &v in c.iter() {
-                out.put_f32_le(v);
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
         FeatureVec::Sparse { dim, idx, val } => {
-            out.put_u8(TAG_SPARSE);
-            out.put_u32_le(*dim);
-            out.put_u32_le(idx.len() as u32);
+            out.push(TAG_SPARSE);
+            out.extend_from_slice(&dim.to_le_bytes());
+            out.extend_from_slice(&(idx.len() as u32).to_le_bytes());
             for &i in idx.iter() {
-                out.put_u32_le(i);
+                out.extend_from_slice(&i.to_le_bytes());
             }
             for &v in val.iter() {
-                out.put_f32_le(v);
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
     }
@@ -86,50 +50,18 @@ pub fn encode_fvec(f: &FeatureVec, out: &mut impl BufMut) {
 /// Decodes one feature vector from the front of `buf`, advancing it.
 ///
 /// Returns `None` on malformed or truncated input (a corrupted page must not
-/// crash the engine; callers surface a storage error instead).
-pub fn decode_fvec(buf: &mut impl Buf) -> Option<FeatureVec> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    match buf.get_u8() {
-        TAG_DENSE => {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < 4 * len {
-                return None;
-            }
-            Some(FeatureVec::Dense(read_f32s(buf, len).into()))
-        }
-        TAG_SPARSE => {
-            if buf.remaining() < 8 {
-                return None;
-            }
-            let dim = buf.get_u32_le();
-            let nnz = buf.get_u32_le() as usize;
-            if buf.remaining() < 8 * nnz {
-                return None;
-            }
-            let idx = read_u32s(buf, nnz);
-            // Indices must be strictly increasing and in range; reject
-            // anything else rather than build an invariant-violating vector.
-            if idx.windows(2).any(|w| w[0] >= w[1]) || idx.last().is_some_and(|&i| i >= dim) {
-                return None;
-            }
-            let val = read_f32s(buf, nnz);
-            Some(FeatureVec::Sparse { dim, idx: idx.into(), val: val.into() })
-        }
-        _ => None,
-    }
+/// crash the engine; callers surface a storage error instead). This is
+/// [`decode_fvec_ref`] plus one bulk copy per payload — there is one
+/// decoder, so one acceptance set.
+pub fn decode_fvec(buf: &mut &[u8]) -> Option<FeatureVec> {
+    decode_fvec_ref(buf).map(|r| r.to_owned())
 }
 
 /// Decodes one feature vector from the front of `buf` **without copying**,
 /// advancing the slice past the encoding. The returned [`FeatureVecRef`]
 /// borrows the payload bytes directly (the zero-copy scan path).
 ///
-/// Accepts and rejects **exactly** the inputs [`decode_fvec`] does —
-/// truncated payloads, unknown tags, non-increasing or out-of-dimension
+/// Truncated payloads, unknown tags, non-increasing or out-of-dimension
 /// sparse indices all return `None` (property-tested in
 /// `tests/properties.rs`).
 pub fn decode_fvec_ref<'a>(buf: &mut &'a [u8]) -> Option<FeatureVecRef<'a>> {
@@ -160,9 +92,8 @@ pub fn decode_fvec_ref<'a>(buf: &mut &'a [u8]) -> Option<FeatureVecRef<'a>> {
             }
             let idx_raw = &b[9..9 + 4 * nnz];
             let val_raw = &b[9 + 4 * nnz..9 + need];
-            // Same invariant check as the owned decoder: strictly increasing
-            // indices, all below `dim` (strictly increasing makes the last
-            // index the maximum, so one range check covers them all).
+            // Indices must be strictly increasing and in range; reject
+            // anything else rather than build an invariant-violating vector.
             let mut prev: Option<u32> = None;
             for chunk in idx_raw.chunks_exact(4) {
                 let i = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -190,19 +121,12 @@ mod tests {
         let back = decode_fvec(&mut slice).expect("decode");
         assert_eq!(&back, f);
         assert!(slice.is_empty(), "decoder must consume exactly the encoding");
-        // the zero-copy decoder agrees on value and consumed length
-        let mut slice = &buf[..];
-        let bref = decode_fvec_ref(&mut slice).expect("ref decode");
-        assert_eq!(&bref.to_owned(), f);
-        assert!(slice.is_empty(), "ref decoder must consume exactly the encoding");
     }
 
-    /// Both decoders must agree on whether `bytes` is a valid encoding.
-    fn both_reject(bytes: &[u8]) {
-        let mut a = bytes;
-        assert!(decode_fvec(&mut a).is_none(), "owned decoder accepted");
+    /// `bytes` is not a valid encoding (one decoder: the owned one delegates).
+    fn rejected(bytes: &[u8]) {
         let mut b = bytes;
-        assert!(decode_fvec_ref(&mut b).is_none(), "ref decoder accepted");
+        assert!(decode_fvec(&mut b).is_none(), "decoder accepted {bytes:?}");
     }
 
     #[test]
@@ -222,19 +146,19 @@ mod tests {
         let mut buf = Vec::new();
         encode_fvec(&FeatureVec::dense(vec![1.0, 2.0]), &mut buf);
         for cut in 0..buf.len() {
-            both_reject(&buf[..cut]);
+            rejected(&buf[..cut]);
         }
         let mut sparse = Vec::new();
         encode_fvec(&FeatureVec::sparse(10, vec![(1, 1.0), (7, 2.0)]), &mut sparse);
         for cut in 0..sparse.len() {
-            both_reject(&sparse[..cut]);
+            rejected(&sparse[..cut]);
         }
     }
 
     #[test]
     fn bad_tag_is_rejected() {
-        both_reject(&[0x7f, 0, 0, 0, 0]);
-        both_reject(&[]);
+        rejected(&[0x7f, 0, 0, 0, 0]);
+        rejected(&[]);
     }
 
     #[test]
@@ -247,7 +171,7 @@ mod tests {
         buf.extend_from_slice(&5u32.to_le_bytes());
         buf.extend_from_slice(&1.0f32.to_le_bytes());
         buf.extend_from_slice(&1.0f32.to_le_bytes());
-        both_reject(&buf);
+        rejected(&buf);
     }
 
     #[test]
@@ -257,7 +181,7 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&4u32.to_le_bytes()); // idx 4 >= dim 4
         buf.extend_from_slice(&1.0f32.to_le_bytes());
-        both_reject(&buf);
+        rejected(&buf);
     }
 
     #[test]

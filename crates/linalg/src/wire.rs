@@ -1,10 +1,11 @@
 //! Minimal little-endian wire helpers for durable-state serialization.
 //!
 //! Checkpoints and WAL records across the workspace are plain
-//! little-endian byte streams. Writers use [`bytes::BufMut`] directly;
-//! readers use these checked `take_*` helpers, which advance a `&mut &[u8]`
-//! cursor and return `None` on truncation instead of panicking — a torn or
-//! corrupted stored image must surface as a decode failure, never a crash.
+//! little-endian byte streams. Writers append to a `Vec<u8>` with
+//! `extend_from_slice(&x.to_le_bytes())`; readers use these checked
+//! `take_*` helpers, which advance a `&mut &[u8]` cursor and return `None`
+//! on truncation instead of panicking — a torn or corrupted stored image
+//! must surface as a decode failure, never a crash.
 
 /// Takes `n` bytes off the front of `b`, advancing it.
 pub fn take_bytes<'a>(b: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {

@@ -456,11 +456,8 @@ impl ReplicationGroup {
     /// bound and the staleness of a pinned replica epoch are one number on
     /// one scale, which is what lets a serving layer treat "read from a
     /// caught-up replica" and "read from a pinned epoch" interchangeably.
-    /// `None` when the replica's live view has no snapshot path.
-    pub fn epoch_lag(&mut self, i: usize) -> Option<u64> {
-        let primary = self.primary_next_lsn();
-        let cell = self.replicas[i].view.epoch()?;
-        Some(primary.saturating_sub(cell.current_lsn()))
+    pub fn epoch_lag(&self, i: usize) -> u64 {
+        self.primary_next_lsn().saturating_sub(self.replicas[i].view.epoch().current_lsn())
     }
 
     /// Replica `i` (panics out of range — test/debug accessor).

@@ -212,10 +212,8 @@ impl ReplicaView {
     /// publishes a fresh cell from recovered state instead of resurrecting
     /// epochs, and the old cell is `Arc`-shared, so a held pin outlives
     /// the live view it snapshotted.
-    ///
-    /// Always `Some` — every engine has a snapshot path.
-    pub fn epoch(&self) -> Option<Arc<EpochCell>> {
-        Some(Arc::clone(self.live.cell()))
+    pub fn epoch(&self) -> Arc<EpochCell> {
+        Arc::clone(self.live.cell())
     }
 
     /// Serves a single-entity classification at the replica's applied LSN

@@ -16,8 +16,6 @@
 //!
 //! [`ViewStats`]: hazy_core::ViewStats
 
-use std::collections::HashSet;
-
 use hazy_core::{Architecture, ClassifierView, Mode, ViewBuilder, ViewRestorer};
 use hazy_repl::{FaultPlan, GroupConfig, ReplicaView, ReplicationGroup, ShipFault};
 use hazy_testkit::{
@@ -245,19 +243,6 @@ chaos_matrix! {
     hybrid_eager_sharded => (Architecture::Hybrid, Mode::Eager, 3, 2);
 }
 
-/// Folds `op` into the set of live ids; `false` for an `Insert` of an id
-/// that is already live.
-fn track(live: &mut HashSet<u64>, op: &Op) -> bool {
-    match op {
-        Op::Insert(e) => live.insert(e.id),
-        Op::Remove(id) => {
-            live.remove(id);
-            true
-        }
-        _ => true,
-    }
-}
-
 /// Primary crash mid-ship: the fault plan kills the primary at a shipment
 /// boundary while both replicas are stalled behind delayed shipments, the
 /// group auto-promotes the furthest-ahead replica, the logged tail past its
@@ -278,15 +263,9 @@ fn run_primary_crash(d: &Deployment) {
 
     let mut survived: Vec<usize> = Vec::with_capacity(ops.len());
     let mut crashes_seen = 0u64;
-    let base: HashSet<u64> = (0..d.shape.population as u64).collect();
-    let mut live = base.clone();
     for (i, op) in ops.iter().enumerate() {
-        // a Remove lost with the truncated tail leaves its id live, and
-        // re-inserting a live id is a caller error: the script's later
-        // resurrection of that id is dropped
-        if !track(&mut live, op) {
-            continue;
-        }
+        // a Remove lost with the truncated tail leaves its id live; the
+        // script's later resurrection of that id then replaces the entity
         apply(group.primary_mut(), op);
         survived.push(i);
         group.pump();
@@ -299,10 +278,6 @@ fn run_primary_crash(d: &Deployment) {
                 "{ctx}: a crash behind stalled replicas must truncate the log"
             );
             survived.truncate(prefix);
-            live = base.clone();
-            for &idx in &survived {
-                track(&mut live, &ops[idx]);
-            }
         }
     }
     assert_eq!(crashes_seen, 1, "{ctx}: the injected primary crash never fired");

@@ -41,11 +41,9 @@
 #![warn(missing_docs)]
 
 mod kway;
-mod pool;
 mod sharded;
 
 pub use kway::{merge_ascending, merge_ranked};
-pub use pool::{run_mixed_workload, LatencyHisto, WorkloadReport, WorkloadSpec};
 pub use sharded::{max_shard_load, shard_of, ReadHandle, ServeRestorer, ShardedView, WriteHandle};
 
 // re-exported so downstream code can name the traits without a hazy-core dep

@@ -132,9 +132,8 @@ impl Drop for Shard {
 }
 
 /// One step of splitmix64: golden-ratio increment plus the avalanche
-/// finalizer. The single source of this mixing in the crate — shard
-/// routing and the workload generator's id streams both reduce to it.
-pub(crate) fn splitmix64(x: u64) -> u64 {
+/// finalizer — the hash behind [`shard_of`].
+fn splitmix64(x: u64) -> u64 {
     let mut x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -179,7 +178,7 @@ pub struct ShardedView {
     clock: VirtualClock,
     /// Clone of the replicated model, refreshed by the `&mut` trait-side
     /// mutations so [`ClassifierView::model`] can hand out a reference.
-    /// `&self`-world writers (the handles, the workload pool) cannot touch
+    /// `&self`-world writers (the handles) cannot touch
     /// it — they observe the live model via
     /// [`model_snapshot`](ShardedView::model_snapshot) instead.
     model_cache: LinearModel,
@@ -292,13 +291,13 @@ impl ShardedView {
         if !parallel {
             return self.shards.iter().map(|shard| op(shard.lock_view().engine())).collect();
         }
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .shards
                 .iter()
                 .map(|shard| {
                     let op = &op;
-                    s.spawn(move |_| op(shard.lock_view().engine()))
+                    s.spawn(move || op(shard.lock_view().engine()))
                 })
                 .collect();
             handles
@@ -306,7 +305,6 @@ impl ShardedView {
                 .map(|h| h.join().expect("shard worker panicked"))
                 .collect()
         })
-        .expect("shard scope panicked")
     }
 
     // ---- lock-free read API (the ReadHandle surface) -----------------------------

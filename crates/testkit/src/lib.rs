@@ -9,17 +9,21 @@
 //! * [`oracle`] — bit-exact comparisons, [`OracleState`] + [`probe`], and
 //!   the incrementally advanced [`PrefixOracle`];
 //! * [`crash`] — [`durable_run`] (a crash image after every WAL record) and
-//!   the [`boundaries`] walk over those images.
+//!   the [`boundaries`] walk over those images;
+//! * [`minimize`](mod@minimize) — [`check_minimized`]: a failing script is
+//!   delta-debugged to the few ops that matter before the suite panics.
 //!
 //! A suite keeps only what is its own: its `Shape`, its deployment under
 //! test and its assertions (see ARCHITECTURE.md, "How the guarantee is
 //! tested").
 
 pub mod crash;
+pub mod minimize;
 pub mod oracle;
 pub mod script;
 
 pub use crash::{boundaries, durable, durable_run, recover};
+pub use minimize::{check_minimized, literal, minimize};
 pub use oracle::{
     assert_answers_match, assert_models_bit_identical, assert_ranked_bit_identical,
     assert_stats_match, probe, OracleState, PrefixOracle,

@@ -1,9 +1,11 @@
 //! The kit's own guarantees — what the suites built on it take for granted.
 
-use hazy_core::{Architecture, Mode};
+use hazy_core::{Architecture, Entity, Mode};
+use hazy_learn::TrainingExample;
+use hazy_linalg::FeatureVec;
 use hazy_testkit::{
     apply, assert_answers_match, assert_models_bit_identical, boundaries, build_plain, builder,
-    durable_run, script, Mix, Op, PrefixOracle, Shape,
+    check_minimized, durable_run, literal, minimize, script, Mix, Op, PrefixOracle, Shape,
 };
 
 /// Every op kind, a pinned op, removals and resurrections.
@@ -68,4 +70,60 @@ fn unfaulted_run_has_one_durable_record_per_boundary() {
         seen += 1;
     }
     assert_eq!(seen, images.len());
+}
+
+/// A synthetic bug — "fails iff a `Remove` follows an `Update`" — hidden in
+/// a crash-suite-sized script must come back as exactly those two ops, the
+/// `Update` shrunk to one example.
+#[test]
+fn minimize_keeps_only_the_ops_that_matter() {
+    let (ops, _) = script(11, &Shape { ops: 520, ..shape() });
+    let fails = |ops: &[Op]| {
+        let update = ops.iter().position(|op| matches!(op, Op::Update(_)));
+        update.is_some_and(|at| ops[at..].iter().any(|op| matches!(op, Op::Remove(_))))
+    };
+    let minimal = minimize(&ops, fails);
+    assert!(
+        matches!(&minimal[..], [Op::Update(batch), Op::Remove(_)] if batch.len() == 1),
+        "not minimal:\n{}",
+        literal(&minimal)
+    );
+
+    // the same through a panicking check: the test dies on the minimal
+    // script's own assertion, and a passing script is left alone
+    let check = |ops: &[Op]| {
+        let depth = ops.iter().filter_map(|op| if let Op::TopK(k) = op { Some(*k) } else { None }).max();
+        assert!(depth < Some(2), "{} ops, TopK({depth:?})", ops.len());
+    };
+    let died = std::panic::catch_unwind(|| check_minimized(&ops, check)).expect_err("check fails");
+    assert_eq!(died.downcast_ref::<String>().expect("assert message"), "1 ops, TopK(Some(2))");
+    check_minimized(&[Op::TopK(1), Op::Count], check);
+}
+
+/// The printed form is the script: a pasted literal prints as itself.
+#[test]
+fn literal_is_a_replayable_expression() {
+    let pasted = vec![
+        Op::Update(vec![TrainingExample::new(0, FeatureVec::dense(vec![-0.5, 0.2509804, 1.0]), -1), TrainingExample::new(0, FeatureVec::sparse(9, vec![(2, 0.5), (7, -1.5)]), 1)]),
+        Op::Insert(Entity::new(10000, FeatureVec::dense(vec![0.1, -0.2, 1.0]))),
+        Op::Remove(3),
+        Op::Read(10000),
+        Op::Count,
+        Op::Members,
+        Op::TopK(4),
+        Op::Reorg,
+        Op::SetArch(Architecture::HazyDisk, Mode::Lazy),
+    ];
+    let text = "vec![
+    Op::Update(vec![TrainingExample::new(0, FeatureVec::dense(vec![-0.5, 0.2509804, 1.0]), -1), TrainingExample::new(0, FeatureVec::sparse(9, vec![(2, 0.5), (7, -1.5)]), 1)]),
+    Op::Insert(Entity::new(10000, FeatureVec::dense(vec![0.1, -0.2, 1.0]))),
+    Op::Remove(3),
+    Op::Read(10000),
+    Op::Count,
+    Op::Members,
+    Op::TopK(4),
+    Op::Reorg,
+    Op::SetArch(Architecture::HazyDisk, Mode::Lazy),
+]";
+    assert_eq!(literal(&pasted), text);
 }
