@@ -1,7 +1,7 @@
 //! Criterion microbenches for the hot kernels under every experiment:
 //! dot products, SGD steps, watermark bookkeeping, the Skiing decision,
 //! tuple codec, B+-tree and buffer-pool paths, reorganization sorts, and
-//! the epoch publisher's model round and re-score.
+//! the epoch publisher's model round, its re-score and a pinned ranked read.
 //! These measure *wall* time of the real code (no simulated costs).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -233,6 +233,21 @@ fn bench_epoch(c: &mut Criterion) {
             p.apply_update(&drift[i]);
             p.apply_reorganize();
         })
+    });
+    // a pinned bound-pruned `top_k(10)`: after the whole drift (the band
+    // as wide as the last Skiing re-score let it grow), then right after
+    // a re-score (zero band)
+    let mut drifted = fresh();
+    drift.iter().for_each(|m| drifted.apply_update(m));
+    let cell = drifted.handle();
+    g.bench_function("epoch_top_k10_drift", |b| {
+        let pin = cell.pin();
+        b.iter(|| black_box(pin.top_k(10)))
+    });
+    drifted.apply_reorganize();
+    g.bench_function("epoch_top_k10_rescored", |b| {
+        let pin = cell.pin();
+        b.iter(|| black_box(pin.top_k(10)))
     });
     g.finish();
 }

@@ -209,7 +209,8 @@ pub(crate) fn apply_record(
     let mut b = payload;
     Some(match kind {
         rec::UPDATE => {
-            let n = wire::take_u32(&mut b)? as usize;
+            // an example is at least id(8) + label(1) + a dense fvec header(5)
+            let n = wire::take_count_u32(&mut b, 14)?;
             let mut batch = Vec::with_capacity(n);
             for _ in 0..n {
                 batch.push(take_example(&mut b)?);
@@ -244,7 +245,8 @@ pub(crate) fn apply_record(
             Replayed::Unchanged
         }
         rec::TOPK => {
-            let _ = view.top_k(wire::take_u64(&mut b)? as usize);
+            // a depth, not a count: no read allocates by it
+            let _ = view.top_k(usize::try_from(wire::take_u64(&mut b)?).ok()?);
             Replayed::Unchanged
         }
         rec::MIGRATE => {
@@ -625,6 +627,22 @@ mod tests {
         let clock = inner.clock().clone();
         let store = Arc::new(Mutex::new(DurableStore::new(clock)));
         (builder.clone(), DurableView::create(inner, store, interval))
+    }
+
+    /// A shipped or logged `UPDATE` claiming `u32::MAX` examples with none
+    /// behind it is an undecodable record, not a 4-billion-slot allocation
+    /// that aborts the process before any decode error can surface.
+    #[test]
+    fn forged_update_count_is_undecodable() {
+        let mut view =
+            ViewBuilder::new(Architecture::HazyMem, Mode::Eager).dim(2).build(entities(8), &[]);
+        let before = view.model().clone();
+        for forged in [u32::MAX, 1] {
+            let got = apply_record(view.as_mut(), rec::UPDATE, &forged.to_le_bytes());
+            assert!(got.is_none(), "a count of {forged} over an empty tail decoded");
+        }
+        let moved = view.model().b.to_bits() != before.b.to_bits();
+        assert!(!moved, "a rejected record moved the model");
     }
 
     #[test]

@@ -19,6 +19,17 @@
 //!   bit-identically to the live architectures (all of which serve pure
 //!   functions of *population × model* — the observational equivalence
 //!   the core test suites enforce).
+//!
+//!   Ranked reads prune by the same lemma. Each epoch carries the
+//!   publisher's low water `lw` (0 right after a re-score), which bounds
+//!   every population tuple's current margin by `eps − lw`. `top_k(k)`
+//!   scores the overlay's inserts exactly, then walks the `eps` order from
+//!   the top, scoring each tuple exactly. It stops at the first tuple whose
+//!   bound lies below the k-th kept margin by more than a `1e-9` relative
+//!   slack (room for the rounding of two dot products). That costs
+//!   O(k + |inserts| + tuples within a band-width of the k-th margin)
+//!   margins, not one per entity. The `core_epoch_topk_total` and
+//!   `core_epoch_topk_scored_total` counters show the ratio.
 //! * [`EpochPublisher`] — the writer-side maintenance of that overlay,
 //!   run by the paper's own strategy. After a model round it re-scores
 //!   **only** the tuples whose frozen `eps` falls inside the running
@@ -64,7 +75,7 @@ use crate::cost::classify_cost;
 use crate::durable::{apply_record, DurableClassifierView, DurableView, Replayed};
 use crate::entity::Entity;
 use crate::skiing::Skiing;
-use crate::view::{select_top_k, Architecture, ClassifierView, Mode};
+use crate::view::{bounded_top_k, Architecture, ClassifierView, Mode};
 use crate::watermark::{WaterMarks, WatermarkPolicy};
 
 /// Global epoch-lifecycle metrics: every [`EpochCell`] in the process
@@ -87,6 +98,10 @@ struct EpochObs {
     /// Skiing's accumulated waste `a` and re-score cost `S`, in charged ops.
     skiing_waste: &'static hazy_obs::Gauge,
     skiing_s: &'static hazy_obs::Gauge,
+    /// Ranked reads served from epochs, and the tuples they margin-scored
+    /// (bumped once per read): the ratio is the bound pruning's reach.
+    topk: &'static hazy_obs::Counter,
+    topk_scored: &'static hazy_obs::Counter,
 }
 
 fn epoch_obs() -> &'static EpochObs {
@@ -100,6 +115,8 @@ fn epoch_obs() -> &'static EpochObs {
         band_tuples: hazy_obs::gauge("core_epoch_band_tuples"),
         skiing_waste: hazy_obs::gauge("core_epoch_skiing_waste"),
         skiing_s: hazy_obs::gauge("core_epoch_skiing_s"),
+        topk: hazy_obs::counter("core_epoch_topk_total"),
+        topk_scored: hazy_obs::counter("core_epoch_topk_scored_total"),
     })
 }
 
@@ -175,6 +192,10 @@ pub struct ModelEpoch {
     /// Population ids retracted since the population was built.
     removed: HashSet<u64>,
     positive: u64,
+    /// The publisher's low water at publish: every population tuple's
+    /// margin under `model` is at most `eps − lw` (Lemma 3.1). Zero right
+    /// after a re-score, when `scoring` was built under `model` itself.
+    lw: f64,
 }
 
 impl ModelEpoch {
@@ -243,24 +264,43 @@ impl ModelEpoch {
     }
 
     /// Ranked read under the epoch's model: margin descending, ids
-    /// ascending on ties — the same selection under
-    /// [`rank_order`](crate::rank_order) the engines run, so merged
-    /// per-shard epoch answers equal the unsharded listing bit for bit.
+    /// ascending on ties — the same order under
+    /// [`rank_order`](crate::rank_order) the engines' full scans select
+    /// by, so merged per-shard epoch answers equal the unsharded listing bit
+    /// for bit.
+    ///
+    /// Bound-pruned (Lemma 3.1): a population tuple stored at `eps` has a
+    /// current margin of at most `eps − lw`. The overlay's inserts are
+    /// scored exactly, then the population is walked down its `eps` order
+    /// (retractions skipped), each tuple scored exactly, until the first
+    /// whose bound lies below the k-th margin kept so far by more than a
+    /// `1e-9` relative slack — no later tuple can rank. The cost is
+    /// O(k + |added| + tuples within a band-width of the k-th margin)
+    /// margins instead of one per entity, with buffers bounded by
+    /// `min(k, entity_count)`: right after a re-score (`lw = 0`) about `k`,
+    /// and at worst — a band as wide as the margin spread — the whole
+    /// population, as before.
     pub fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut scored = Vec::with_capacity(self.entity_count() as usize);
-        for e in &self.pop.entities {
-            if self.removed.contains(&e.id) {
-                continue;
-            }
-            scored.push((e.id, self.model.margin(&e.f)));
-        }
-        for (&id, (e, _)) in &self.added {
-            scored.push((id, self.model.margin(&e.f)));
-        }
-        select_top_k(scored, k)
+        let (pop, scoring, model) = (&*self.pop, &*self.scoring, &*self.model);
+        let skip_removed = !self.removed.is_empty();
+        let walk = scoring
+            .by_eps
+            .iter()
+            .rev()
+            .map(|&i| i as usize)
+            .filter(|&i| !(skip_removed && self.removed.contains(&pop.entities[i].id)))
+            .map(|i| (scoring.eps[i] - self.lw, i));
+        let (ranked, scored) = bounded_top_k(
+            self.added.iter().map(|(&id, (e, _))| (id, model.margin(&e.f))),
+            walk,
+            |i| (pop.entities[i].id, model.margin(&pop.entities[i].f)),
+            k,
+            self.entity_count() as usize,
+        );
+        let obs = epoch_obs();
+        obs.topk.inc();
+        obs.topk_scored.add(scored);
+        ranked
     }
 
     /// Number of overlay entries (label patches + inserts + retractions) —
@@ -590,6 +630,7 @@ impl EpochPublisher {
                 added: BTreeMap::new(),
                 removed: HashSet::new(),
                 positive,
+                lw: 0.0,
             })),
             labels_now: scoring.labels.clone(),
             pop,
@@ -846,6 +887,9 @@ impl EpochPublisher {
             added: self.added.clone(),
             removed: self.removed.clone(),
             positive: self.positive,
+            // Monotone marks, observed on every band walk and reset with
+            // every re-score: a sound bound for `scoring` under `model`
+            lw: self.marks.low(),
         });
     }
 }

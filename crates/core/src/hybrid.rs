@@ -26,7 +26,6 @@ use crate::durable::{tag, Durable};
 use crate::entity::Entity;
 use crate::hazy_disk::HazyDiskView;
 use crate::stats::{MemoryFootprint, ViewStats};
-use crate::store::take_count;
 use crate::view::{ClassifierView, Mode};
 use crate::watermark::WatermarkPolicy;
 
@@ -113,13 +112,13 @@ impl HybridView {
         let disk_reads = wire::take_u64(b)?;
         // each ε-map entry is an id and a float; each buffer entry an id
         // and at least an empty feature vector
-        let n_eps = take_count(b, 8 + 8)?;
+        let n_eps = wire::take_count(b, 8 + 8)?;
         let mut eps_map = HashMap::with_capacity(n_eps);
         for _ in 0..n_eps {
             let id = wire::take_u64(b)?;
             eps_map.insert(id, wire::take_f64(b)?);
         }
-        let n_buf = take_count(b, 8 + 5)?;
+        let n_buf = wire::take_count(b, 8 + 5)?;
         let mut buffer = HashMap::with_capacity(n_buf);
         for _ in 0..n_buf {
             let id = wire::take_u64(b)?;

@@ -14,7 +14,7 @@ use hazy_storage::VirtualClock;
 
 use crate::cost::charged_margin;
 use crate::entity::{Entity, HTuple};
-use crate::store::{take_count, Row, Store};
+use crate::store::{Row, Store};
 use crate::view::Architecture;
 
 impl Row for HTuple {
@@ -204,7 +204,7 @@ impl Store for MemStore {
         };
         // a tuple encodes to at least id + label + an empty feature vector,
         // plus eps when clustered
-        let n = take_count(b, 8 + 1 + 5 + if clustered { 8 } else { 0 })?;
+        let n = wire::take_count(b, 8 + 1 + 5 + if clustered { 8 } else { 0 })?;
         if sorted_len > n {
             return None;
         }

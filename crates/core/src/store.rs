@@ -21,7 +21,6 @@
 use std::cmp::Ordering;
 
 use hazy_learn::{sign, Label, LinearModel};
-use hazy_linalg::wire;
 use hazy_storage::VirtualClock;
 
 use crate::entity::{Entity, HTuple};
@@ -72,15 +71,6 @@ pub(crate) fn relabel<R: Row>(
         stats.labels_changed += 1;
         l
     })
-}
-
-/// Reads an entry count from a checkpoint image, rejecting counts the
-/// remaining bytes cannot hold (every entry encodes to at least `min_entry`
-/// bytes): a count arrives from outside and is bounded before anything is
-/// allocated for it.
-pub(crate) fn take_count(b: &mut &[u8], min_entry: usize) -> Option<usize> {
-    let n = usize::try_from(wire::take_u64(b)?).ok()?;
-    (n <= b.len() / min_entry).then_some(n)
 }
 
 /// A physical home for the tuples of one view. Every method charges the

@@ -1,6 +1,7 @@
 //! The common interface over all five architectures, and a builder.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use hazy_learn::{Label, LinearModel, SgdConfig, SgdTrainer, TrainingExample};
 use hazy_linalg::NormPair;
@@ -142,6 +143,85 @@ pub(crate) fn select_top_k(mut scored: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f
     }
     scored.sort_unstable_by(rank_order);
     scored
+}
+
+/// Relative slack of [`bounded_top_k`]'s stop rule. A bound and an exact
+/// margin are both rounded dot products (≈ d·2⁻⁵³ relative error each), so a
+/// bare `bound < kth` could drop a tuple whose computed margin ties the k-th
+/// to the last ulp; stopping only `1e-9 · max(1, |bound|, |kth|)` below it
+/// leaves several orders of magnitude of headroom at any realistic `d`.
+const TOP_K_SLACK: f64 = 1e-9;
+
+/// A kept candidate of [`bounded_top_k`], ordered by [`rank_order`]: the
+/// heap's maximum is the worst-ranked of the `k` kept so far.
+struct Kept((u64, f64));
+
+impl PartialEq for Kept {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Kept {}
+
+impl PartialOrd for Kept {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Kept {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank_order(&self.0, &other.0)
+    }
+}
+
+/// The threshold walk of a bound-pruned ranked read. `exact` are candidates
+/// already scored exactly; `walk` yields `(upper bound, key)` in
+/// non-increasing bound order, and `score(key)` is that candidate's exact
+/// `(id, margin)`. The best `k` under [`rank_order`] are kept in a heap of at
+/// most `min(k, live)` entries (`live` bounds the candidate count), and the
+/// walk stops at the first key whose bound lies more than [`TOP_K_SLACK`]
+/// below the k-th kept margin — every later bound is lower still, so nothing
+/// after it can rank. The kept set is then ordered by [`select_top_k`], so
+/// the answer is bit-identical to a full scan. Returns the answer and the
+/// number of candidates scored.
+pub(crate) fn bounded_top_k<T>(
+    exact: impl IntoIterator<Item = (u64, f64)>,
+    walk: impl IntoIterator<Item = (f64, T)>,
+    mut score: impl FnMut(T) -> (u64, f64),
+    k: usize,
+    live: usize,
+) -> (Vec<(u64, f64)>, u64) {
+    if k == 0 {
+        return (Vec::new(), 0);
+    }
+    let mut kept = BinaryHeap::with_capacity(k.min(live));
+    let keep = |kept: &mut BinaryHeap<Kept>, c: (u64, f64)| {
+        if kept.len() < k {
+            kept.push(Kept(c));
+        } else if let Some(mut worst) = kept.peek_mut() {
+            if rank_order(&c, &worst.0) == Ordering::Less {
+                *worst = Kept(c);
+            }
+        }
+    };
+    let mut scored = 0u64;
+    for c in exact {
+        scored += 1;
+        keep(&mut kept, c);
+    }
+    for (bound, key) in walk {
+        if let Some(&Kept((_, kth))) = kept.peek().filter(|_| kept.len() == k) {
+            if bound < kth - TOP_K_SLACK * bound.abs().max(kth.abs()).max(1.0) {
+                break;
+            }
+        }
+        scored += 1;
+        keep(&mut kept, score(key));
+    }
+    let kept = kept.into_vec().into_iter().map(|c| c.0).collect();
+    (select_top_k(kept, k), scored)
 }
 
 /// [`select_top_k`], charged to `clock` as what it is.
@@ -714,5 +794,25 @@ impl ViewBuilder {
         let est_pages = (bytes * 14 / 10) / PAGE_SIZE + 8;
         let cap = ((est_pages as f64 * self.pool_frac) as usize).max(64);
         BufferPool::new(SimDisk::new(clock), cap)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Tuples whose bound equals the k-th margin can still tie it and win
+    /// on id, so the walk passes them; one strictly below by more than the
+    /// slack ends it, and nothing after it is scored.
+    #[test]
+    fn bounded_walk_passes_ties_and_stops_below_the_kth() {
+        let walk =
+            [(0.5, (9, 0.5)), (0.5, (3, 0.5)), (0.5, (5, 0.4)), (0.2, (1, 0.2)), (0.1, (0, 0.1))];
+        let (got, scored) = bounded_top_k([(7, 0.45)], walk, |c| c, 2, 6);
+        assert_eq!(got, vec![(3, 0.5), (9, 0.5)]);
+        assert_eq!(scored, 4, "the inserted tuple and the three bounded at 0.5");
+        let (all, scored) = bounded_top_k([(7, 0.45)], walk, |c| c, usize::MAX, 6);
+        assert_eq!((all.len(), scored), (6, 6), "k past the population scores everything");
+        assert_eq!(bounded_top_k([(7, 0.45)], walk, |c| c, 0, 6), (Vec::new(), 0));
     }
 }

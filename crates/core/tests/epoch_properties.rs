@@ -20,17 +20,44 @@
 //!   re-score several times a script, every answer after every operation
 //!   equals from-scratch scoring, a pin taken before the rebases keeps its
 //!   answers, and a rebase allocates a scoring (13 bytes an entity), not a
-//!   population.
+//!   population;
+//! * **bound-pruned ranked reads** — `top_k` walks the `eps` order under
+//!   Lemma 3.1 and stops early, yet answers bit for bit like a full scan
+//!   over scripted drift; the tuples it scores stay within the bound's own
+//!   count, and on a forest-shaped shard under SGD drift they are a sliver
+//!   of the population.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use hazy_core::{rank_order, Architecture, Entity, EpochPublisher, Mode, ModelEpoch, ViewBuilder};
-use hazy_learn::{LinearModel, TrainingExample};
+use hazy_core::{
+    rank_order, Architecture, Entity, EpochPublisher, Mode, ModelEpoch, ViewBuilder, WaterMarks,
+    WatermarkPolicy,
+};
+use hazy_datagen::{DatasetSpec, ExampleStream};
+use hazy_learn::{LinearModel, SgdConfig, SgdTrainer, TrainingExample};
 use hazy_linalg::{FeatureVec, NormPair};
-use hazy_testkit::{builder, grid_entities, grid_feature, splitmix64, BoxedView};
+use hazy_testkit::{builder, feature, grid_entities, grid_feature, splitmix64, BoxedView};
 use proptest::prelude::*;
+
+/// Ranked reads in this suite take turns: the pruning tests read the
+/// process-global `core_epoch_topk_*` counters around their own calls, so no
+/// sibling test may bump them meanwhile.
+static RANKED_READS: Mutex<()> = Mutex::new(());
+
+fn ranked_reads() -> MutexGuard<'static, ()> {
+    RANKED_READS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `(ranked reads, tuples they scored)` so far, process-wide.
+fn topk_counters() -> (u64, u64) {
+    (
+        hazy_obs::counter("core_epoch_topk_total").get(),
+        hazy_obs::counter("core_epoch_topk_scored_total").get(),
+    )
+}
 
 /// Counts net live bytes per thread. Thread-local so the parallel test
 /// harness (and any sibling test) cannot pollute a measurement: everything
@@ -154,6 +181,7 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..80),
         pin_at_raw in any::<u16>(),
     ) {
+        let _turn = ranked_reads();
         let b = builder(Architecture::HazyMem, Mode::Eager);
         let mut view = build_view(Architecture::HazyMem, Mode::Eager);
         let (entities, model) = view.snapshot_state().expect("snapshot");
@@ -269,6 +297,7 @@ proptest! {
     ) {
         let drifts = ops.iter().filter(|op| matches!(op, DriftOp::Drift(..))).count();
         prop_assume!(drifts >= 16);
+        let _turn = ranked_reads();
         let mut live: BTreeMap<u64, Entity> =
             grid_entities(96).into_iter().map(|e| (e.id, e)).collect();
         let mut w = [0.4f64, -0.3, 0.05];
@@ -452,4 +481,271 @@ fn epoch_reclamation_is_allocation_balanced() {
         "epoch machinery leaked or double-freed {} bytes",
         after - before
     );
+}
+
+/// The publisher's Lemma 3.1 state, mirrored from outside with the same
+/// public [`WaterMarks`] arithmetic: the population as of its last fold,
+/// the ids inserted since, and the marks since the last re-score.
+struct Mirror {
+    pair: NormPair,
+    pop: BTreeMap<u64, Entity>,
+    added: BTreeSet<u64>,
+    marks: WaterMarks,
+    rebases: u64,
+}
+
+impl Mirror {
+    fn new(live: &BTreeMap<u64, Entity>, model: &LinearModel, pair: NormPair) -> Mirror {
+        let m = live.values().map(|e| e.f.norm(pair.q)).fold(0.0f64, f64::max);
+        Mirror {
+            pair,
+            pop: live.clone(),
+            added: BTreeSet::new(),
+            marks: WaterMarks::new(model.clone(), pair, m, WatermarkPolicy::Monotone),
+            rebases: 0,
+        }
+    }
+
+    /// Follows one publisher operation (`update`: it was a model round). A
+    /// re-score restarts the marks; one that leaves no overlay behind has
+    /// folded the live set into the population.
+    fn follow(
+        &mut self,
+        p: &EpochPublisher,
+        live: &BTreeMap<u64, Entity>,
+        model: &LinearModel,
+        update: bool,
+    ) {
+        if p.rebases() != self.rebases {
+            self.rebases = p.rebases();
+            let m = self.marks.m_norm();
+            self.marks = WaterMarks::new(model.clone(), self.pair, m, WatermarkPolicy::Monotone);
+            if p.handle().pin().overlay_len() == 0 {
+                self.pop = live.clone();
+                self.added.clear();
+            }
+        } else if update {
+            self.marks.observe(model);
+        }
+    }
+
+    fn insert(&mut self, e: &Entity) {
+        self.marks.raise_m(e.f.norm(self.pair.q));
+        self.added.insert(e.id);
+    }
+
+    /// Live population tuples whose Lemma 3.1 bound `eps − lw` reaches
+    /// `kth`, within a slack a thousand times the reader's own.
+    fn within_reach(&self, live: &BTreeMap<u64, Entity>, kth: f64) -> usize {
+        let (stored, lw) = (self.marks.stored_model(), self.marks.low());
+        self.pop
+            .values()
+            .filter(|e| live.contains_key(&e.id) && !self.added.contains(&e.id))
+            .filter(|e| {
+                let bound = stored.margin(&e.f) - lw;
+                bound >= kth - 1e-6 * bound.abs().max(kth.abs()).max(1.0)
+            })
+            .count()
+    }
+}
+
+/// The test-local reference: score every live entity, sort, keep `k`.
+fn full_scan(live: &BTreeMap<u64, Entity>, model: &LinearModel, k: usize) -> Vec<(u64, f64)> {
+    let mut all: Vec<(u64, f64)> = live.values().map(|e| (e.id, model.margin(&e.f))).collect();
+    all.sort_by(rank_order);
+    all.truncate(k);
+    all
+}
+
+fn bits(ranked: &[(u64, f64)]) -> Vec<(u64, u64)> {
+    ranked.iter().map(|&(id, m)| (id, m.to_bits())).collect()
+}
+
+/// One pruned read checked against the full scan, bit for bit, and against
+/// the count the bound allows: `k + |added|` plus the population tuples
+/// within reach of the k-th margin — every tuple when `k ≥ n`, none at 0.
+fn check_ranked(
+    pin: &ModelEpoch,
+    live: &BTreeMap<u64, Entity>,
+    model: &LinearModel,
+    mirror: &Mirror,
+    k: usize,
+    ctx: &str,
+) {
+    let want = full_scan(live, model, k);
+    let (calls0, scored0) = topk_counters();
+    let got = pin.top_k(k);
+    let (calls1, scored1) = topk_counters();
+    assert_eq!(calls1 - calls0, 1, "{ctx} k={k}: one ranked read, one count");
+    assert_eq!(bits(&got), bits(&want), "{ctx} k={k}: pruned walk diverged from the full scan");
+    let scored = (scored1 - scored0) as usize;
+    if k == 0 {
+        assert_eq!(scored, 0, "{ctx}: k = 0 scored {scored}");
+    } else if k >= live.len() {
+        assert_eq!(scored, live.len(), "{ctx} k={k}: a read of everything scores everything");
+    } else {
+        let kth = want[k - 1].1;
+        let allowed = k + mirror.added.len() + mirror.within_reach(live, kth);
+        assert!(scored <= allowed, "{ctx} k={k}: scored {scored} > {allowed} the bound allows");
+    }
+}
+
+/// The pruned walk against a full scan over scripted drift: Skiing
+/// rebases and population folds mid-script, the top of a fresh `eps` order
+/// retracted, overlay inserts that outrank the whole population, a run of
+/// identical feature vectors whose tied margins straddle the k-th place,
+/// and a negated model whose band spans the population. Every read at
+/// k ∈ {0, 1, 3, 10, n, n+5} and at the tie run is bit-equal to the
+/// reference and scores no more than the bound allows.
+#[test]
+fn pruned_top_k_matches_a_full_scan_over_scripted_drift() {
+    let _turn = ranked_reads();
+    let pair = NormPair::EUCLIDEAN;
+    let (mut skiing, mut folds, mut top_retractions, mut outranked, mut straddles) =
+        (0, 0, 0, 0, 0);
+    for seed in 1..=39u64 {
+        let mut r = seed;
+        let unit = |r: &mut u64| (splitmix64(r) % 1001) as f64 / 1000.0 - 0.5;
+        let twin = grid_feature(230, 40);
+        let mut live: BTreeMap<u64, Entity> = (0..60)
+            .map(|id| Entity::new(id, feature(&mut r)))
+            .chain((60..66).map(|id| Entity::new(id, twin.clone())))
+            .map(|e| (e.id, e))
+            .collect();
+        let twins: Vec<u64> = (60..66).collect();
+        let mut w = vec![0.4f64, -0.3, 0.05];
+        let mut model = LinearModel::from_parts(w.clone(), 0.0);
+        let mut p = EpochPublisher::new(live.values().cloned().collect(), model.clone(), pair, 0);
+        let cell = p.handle();
+        let mut mirror = Mirror::new(&live, &model, pair);
+        let mut next_id = 100u64;
+
+        for step in 0..200 {
+            let roll = splitmix64(&mut r) % 100;
+            let rebases = p.rebases();
+            let mut update = false;
+            let retract = |p: &mut EpochPublisher,
+                           live: &mut BTreeMap<u64, Entity>,
+                           mirror: &mut Mirror,
+                           id: u64| {
+                assert_eq!(p.apply_remove(id), live.remove(&id).is_some());
+                mirror.added.remove(&id);
+            };
+            match (step, roll) {
+                // a fold orders `eps` by the current margins; the next three
+                // steps retract the very top of that order
+                (60, _) => {
+                    folds += u32::from(cell.pin().overlay_len() > 0);
+                    p.apply_reorganize();
+                }
+                (61..=63, _) => {
+                    let top = full_scan(&live, &model, 1)[0].0;
+                    retract(&mut p, &mut live, &mut mirror, top);
+                    top_retractions += 1;
+                }
+                // the band now spans every margin: nothing can be pruned
+                (100, _) => {
+                    w.iter_mut().for_each(|x| *x = -*x);
+                    model = LinearModel::from_parts(w.clone(), -model.b);
+                    p.apply_update(&model);
+                    update = true;
+                }
+                (_, 0..=54) => {
+                    w[0] += unit(&mut r) * 0.3;
+                    w[1] += unit(&mut r) * 0.3;
+                    model = LinearModel::from_parts(w.clone(), unit(&mut r) * 0.2);
+                    p.apply_update(&model);
+                    update = true;
+                }
+                (_, 55..=69) => {
+                    next_id += 1;
+                    // every fifth insert outranks the whole population
+                    let e = if roll >= 65 {
+                        let s = |x: f64| if x >= 0.0 { 3.0 } else { -3.0 };
+                        Entity::new(next_id, FeatureVec::dense(vec![s(w[0]), s(w[1]), 1.0]))
+                    } else {
+                        Entity::new(next_id, feature(&mut r))
+                    };
+                    mirror.insert(&e);
+                    live.insert(e.id, e.clone());
+                    p.apply_insert(e);
+                }
+                (_, 70..=77) => {
+                    let top = full_scan(&live, &model, 1)[0].0;
+                    retract(&mut p, &mut live, &mut mirror, top);
+                }
+                (_, 78..=96) => {
+                    let id = splitmix64(&mut r) % (next_id + 1);
+                    retract(&mut p, &mut live, &mut mirror, id);
+                }
+                _ => {
+                    folds += u32::from(cell.pin().overlay_len() > 0);
+                    p.apply_reorganize();
+                }
+            }
+            if update && p.rebases() > rebases {
+                skiing += 1;
+            }
+            mirror.follow(&p, &live, &model, update);
+
+            let pin = cell.pin();
+            let ranked = full_scan(&live, &model, live.len());
+            outranked += u32::from(ranked.first().is_some_and(|(id, _)| mirror.added.contains(id)));
+            let ctx = format!("seed {seed} step {step}");
+            let n = live.len();
+            for k in [0, 1, 3, 10, n, n + 5] {
+                check_ranked(&pin, &live, &model, &mirror, k, &ctx);
+            }
+            // the twins tie bit for bit; cut the run in its middle
+            let at: Vec<usize> = ranked
+                .iter()
+                .enumerate()
+                .filter(|(_, (id, _))| twins.contains(id))
+                .map(|(i, _)| i)
+                .collect();
+            if at.len() >= 2 {
+                let k = at[0] + at.len() / 2;
+                straddles += 1;
+                check_ranked(&pin, &live, &model, &mirror, k, &ctx);
+            }
+        }
+    }
+    assert!(skiing > 0, "no Skiing rebase in any script");
+    assert!(folds > 0, "no population fold in any script");
+    assert!(top_retractions > 0 && outranked > 0 && straddles > 0);
+}
+
+/// On one `tcp_mixed` shard's shape — the forest corpus, a warm model and
+/// `Train{8}` SGD rounds — a pinned `top_k(10)` scores a sliver of the
+/// population per read, with answers equal to the full scan.
+#[test]
+fn pruned_top_k_scores_a_sliver_of_a_forest_shard() {
+    let _turn = ranked_reads();
+    let spec = DatasetSpec::forest().scaled(0.01);
+    let entities: Vec<Entity> =
+        spec.generate().entities.into_iter().map(|e| Entity::new(e.id, e.f)).collect();
+    let live: BTreeMap<u64, Entity> = entities.iter().map(|e| (e.id, e.clone())).collect();
+    let n = entities.len();
+    let mut trainer = SgdTrainer::new(SgdConfig::svm(), spec.dim);
+    for ex in ExampleStream::new(&spec, 0xAAAA).take_vec(6_000) {
+        trainer.step(&ex.f, ex.y);
+    }
+    let mut p = EpochPublisher::new(entities, trainer.model().clone(), spec.norm_pair(), 0);
+    let cell = p.handle();
+    let mut stream = ExampleStream::new(&spec, 7);
+    let (calls0, scored0) = topk_counters();
+    for round in 0..200 {
+        for ex in stream.take_vec(8) {
+            trainer.step(&ex.f, ex.y);
+        }
+        p.apply_update(trainer.model());
+        let got = cell.pin().top_k(10);
+        if round % 40 == 0 {
+            assert_eq!(bits(&got), bits(&full_scan(&live, trainer.model(), 10)), "round {round}");
+        }
+    }
+    let (calls, scored) = topk_counters();
+    let mean = (scored - scored0) as f64 / (calls - calls0) as f64;
+    assert!(p.rebases() > 0, "the drift never re-scored");
+    assert!(mean < n as f64 / 20.0, "a top_k(10) scored {mean:.0} of {n} tuples on average");
 }

@@ -155,11 +155,8 @@ pub fn decode_request(b: &mut &[u8]) -> Option<Request> {
         REQ_COUNT => Some(Request::CountPositive),
         REQ_TOP_K => Some(Request::TopK { k: wire::take_u32(b)? }),
         REQ_TRAIN => {
-            let n = wire::take_u32(b)? as usize;
-            // each example is at least id(8) + label(1) + fvec tag(1)
-            if n > b.len() / 10 + 1 {
-                return None;
-            }
+            // an example is at least id(8) + label(1) + a dense fvec header(5)
+            let n = wire::take_count_u32(b, 14)?;
             let mut batch = Vec::with_capacity(n);
             for _ in 0..n {
                 let id = wire::take_u64(b)?;
@@ -241,10 +238,7 @@ pub fn decode_response(b: &mut &[u8]) -> Option<Response> {
         },
         RESP_COUNT => Some(Response::Count(wire::take_u64(b)?)),
         RESP_RANKED => {
-            let n = wire::take_u32(b)? as usize;
-            if n > b.len() / 16 + 1 {
-                return None;
-            }
+            let n = wire::take_count_u32(b, 16)?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 rows.push((wire::take_u64(b)?, wire::take_f64(b)?));
@@ -254,12 +248,12 @@ pub fn decode_response(b: &mut &[u8]) -> Option<Response> {
         RESP_DONE => Some(Response::Done { applied: wire::take_u64(b)? }),
         RESP_REJECTED => Some(Response::Rejected { retry_after_ms: wire::take_u32(b)? }),
         RESP_ERROR => {
-            let len = wire::take_u32(b)? as usize;
+            let len = wire::take_count_u32(b, 1)?;
             let bytes = wire::take_bytes(b, len)?;
             Some(Response::Error(String::from_utf8(bytes.to_vec()).ok()?))
         }
         RESP_METRICS => {
-            let len = wire::take_u32(b)? as usize;
+            let len = wire::take_count_u32(b, 1)?;
             let bytes = wire::take_bytes(b, len)?;
             Some(Response::Metrics(String::from_utf8(bytes.to_vec()).ok()?))
         }
@@ -377,6 +371,22 @@ mod tests {
             let _ = decode_request(&mut b);
             let mut b = bytes.as_slice();
             let _ = decode_response(&mut b);
+        }
+    }
+
+    /// Counts and lengths claiming more than the payload holds are
+    /// malformed, whatever the item: a `TRAIN` batch, ranked rows, or the
+    /// bytes of an error or metrics text.
+    #[test]
+    fn forged_counts_are_malformed() {
+        let forged = |op: u8| {
+            let mut b = vec![op];
+            b.extend_from_slice(&u32::MAX.to_le_bytes());
+            b
+        };
+        assert_eq!(decode_request(&mut &forged(REQ_TRAIN)[..]), None);
+        for op in [RESP_RANKED, RESP_ERROR, RESP_METRICS] {
+            assert_eq!(decode_response(&mut &forged(op)[..]), None, "response op {op}");
         }
     }
 

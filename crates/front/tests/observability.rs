@@ -33,6 +33,7 @@ fn drive_front() {
         assert!(matches!(client.call(Request::Classify { id }), Response::Label(_)));
     }
     assert!(matches!(client.call(Request::CountPositive), Response::Count(_)));
+    assert!(matches!(client.call(Request::TopK { k: 3 }), Response::Ranked(_)));
     front.shutdown();
 }
 
@@ -119,6 +120,9 @@ fn show_metrics_and_events_cover_every_subsystem() {
     assert!(metric(&rows, "core_epoch_band_tuples") >= 0.0);
     assert!(metric(&rows, "core_epoch_skiing_waste") >= 0.0);
     assert!(metric(&rows, "core_epoch_skiing_s") > 0.0);
+    // ranked reads and the tuples their bound-pruned walks scored
+    assert!(metric(&rows, "core_epoch_topk_total") > 0.0);
+    assert!(metric(&rows, "core_epoch_topk_scored_total") > 0.0);
     // histograms surface as percentile sub-rows
     assert!(rows.iter().any(|(n, _)| n == "front_request_ns_p99"), "histogram expansion");
 

@@ -78,6 +78,35 @@ fn front_answers_equal_direct_view_answers() {
     assert!(stats.batched_writes >= batches.len() as u64);
 }
 
+/// The deepest ranked read the protocol can express answers every live
+/// entity in rank order: per-shard pruned walks and the cross-shard merge
+/// size their buffers by the population, never by `k` (a 4-billion-row
+/// reservation would abort the process).
+#[test]
+fn sharded_top_k_of_u32_max_ranks_every_live_entity() {
+    let n = 120u64;
+    let builder = ViewBuilder::new(Architecture::HazyMem, Mode::Eager).dim(2);
+    let mut direct = ShardedView::build(&builder, 3, entities(n), &[]);
+    let view = ShardedView::build(&builder, 3, entities(n), &[]);
+    let front = Front::serve_sharded(view, FrontConfig::default());
+    let client = front.handle();
+    for batch in train_batches(4, 4) {
+        direct.update_batch(&batch);
+        assert_eq!(client.call(Request::Train { batch }), Response::Done { applied: 4 });
+    }
+    direct.remove_entity(7);
+    assert_eq!(client.call(Request::Remove { id: 7 }), Response::Done { applied: 1 });
+    let ranked = match client.call(Request::TopK { k: u32::MAX }) {
+        Response::Ranked(r) => r,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(ranked.len() as u64, n - 1, "every live entity, once");
+    assert!(ranked.windows(2).all(|w| hazy_core::rank_order(&w[0], &w[1]).is_lt()));
+    assert_eq!(ranked, direct.top_k(u32::MAX as usize));
+    let stats = front.shutdown();
+    assert_eq!(stats.errors, 0);
+}
+
 /// A delegating engine wrapper that panics on poisoned inputs — the fault
 /// injection for the panic-free-serving guarantee.
 struct PanickingView {

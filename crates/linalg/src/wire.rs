@@ -38,10 +38,34 @@ pub fn take_f64(b: &mut &[u8]) -> Option<f64> {
     take_u64(b).map(f64::from_bits)
 }
 
+/// Reads a little-endian `u64` count of items that each encode to at least
+/// `min_item_bytes` bytes (≥ 1; a length prefix counts bytes, so 1), and
+/// rejects it when even that minimal encoding would overrun the bytes left.
+/// Every decoded count goes through here (or [`take_count_u32`]) before it
+/// sizes anything, so a forged count sizes at most a small multiple of the
+/// input that claims it — an allocation failure aborts the process, which
+/// no decoder can recover from.
+pub fn take_count(b: &mut &[u8], min_item_bytes: usize) -> Option<usize> {
+    let n = take_u64(b)?;
+    check_count(n, b, min_item_bytes)
+}
+
+/// [`take_count`] for a `u32` prefix.
+pub fn take_count_u32(b: &mut &[u8], min_item_bytes: usize) -> Option<usize> {
+    let n = take_u32(b)?;
+    check_count(n.into(), b, min_item_bytes)
+}
+
+fn check_count(n: u64, b: &[u8], min_item_bytes: usize) -> Option<usize> {
+    debug_assert!(min_item_bytes > 0, "a zero-byte item bounds nothing");
+    let n = usize::try_from(n).ok()?;
+    (n.checked_mul(min_item_bytes)? <= b.len()).then_some(n)
+}
+
 /// Reads a `u64`-length-prefixed `Vec<f64>` written by [`put_f64s`].
 pub fn take_f64s(b: &mut &[u8]) -> Option<Vec<f64>> {
-    let n = take_u64(b)? as usize;
-    let raw = take_bytes(b, n.checked_mul(8)?)?;
+    let n = take_count(b, 8)?;
+    let raw = take_bytes(b, 8 * n)?;
     Some(
         raw.chunks_exact(8)
             .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
@@ -89,6 +113,25 @@ mod tests {
         for (a, x) in back.iter().zip(v.iter()) {
             assert_eq!(a.to_bits(), x.to_bits());
         }
+    }
+
+    #[test]
+    fn counts_are_checked_against_the_bytes_left() {
+        let mut buf = 3u32.to_le_bytes().to_vec();
+        buf.extend_from_slice(&[0; 12]);
+        assert_eq!(take_count_u32(&mut &buf[..], 4), Some(3), "exact fit");
+        assert_eq!(take_count_u32(&mut &buf[..], 5), None, "one byte short");
+        let mut b = &buf[..];
+        take_count_u32(&mut b, 1).unwrap();
+        assert_eq!(b.len(), 12, "only the prefix is consumed");
+        for forged in [u32::MAX.to_le_bytes().to_vec(), u64::MAX.to_le_bytes().to_vec()] {
+            assert_eq!(take_count_u32(&mut &forged[..], 1), None);
+            assert_eq!(take_count(&mut &forged[..], 1), None);
+        }
+        // the product must not wrap past the check
+        let huge = (u64::MAX / 2 + 2).to_le_bytes();
+        assert_eq!(take_count(&mut &huge[..], 2), None);
+        assert_eq!(take_count(&mut &[][..], 1), None, "truncated prefix");
     }
 
     #[test]

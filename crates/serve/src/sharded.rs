@@ -525,14 +525,15 @@ impl ShardedView {
         clock: VirtualClock,
         shard_restorer: &dyn ViewRestorer,
     ) -> Option<ShardedView> {
-        let n = wire::take_u32(b)? as usize;
+        // a shard is at least its u64 blob length
+        let n = wire::take_count_u32(b, 8)?;
         if n == 0 {
             return None;
         }
         let pair = builder.configured_norm_pair();
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
-            let len = wire::take_u64(b)? as usize;
+            let len = wire::take_count(b, 1)?;
             let mut blob = wire::take_bytes(b, len)?;
             let view = shard_restorer.restore(builder, &mut blob, clock.clone())?;
             if !blob.is_empty() {
@@ -841,6 +842,19 @@ mod tests {
         assert_sync_send::<ReadHandle>();
         assert_sync_send::<WriteHandle>();
     };
+
+    /// A checkpoint claiming `u32::MAX` shards, or a shard blob longer than
+    /// the image, is undecodable rather than a huge allocation.
+    #[test]
+    fn forged_shard_counts_are_undecodable() {
+        let builder = ViewBuilder::new(hazy_core::Architecture::HazyMem, hazy_core::Mode::Eager);
+        let restore =
+            |b: &[u8]| ShardedView::restore_state(&builder, &mut &b[..], builder.new_clock());
+        assert!(restore(&u32::MAX.to_le_bytes()).is_none());
+        let mut b = 1u32.to_le_bytes().to_vec();
+        b.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(restore(&b).is_none());
+    }
 
     #[test]
     fn shard_of_is_stable_and_covers_all_shards() {

@@ -590,11 +590,11 @@ impl BTree {
 
     /// Inverse of [`BTree::save_state`]; `None` on truncated input.
     pub fn restore_state(b: &mut &[u8]) -> Option<BTree> {
-        use hazy_linalg::wire::{take_u32, take_u64};
+        use hazy_linalg::wire::{take_count, take_u32, take_u64};
         let root = PageId(take_u32(b)?);
         let height = take_u32(b)?;
         let len = take_u64(b)?;
-        let n = take_u64(b)? as usize;
+        let n = take_count(b, 4)?;
         let mut pages = Vec::with_capacity(n);
         for _ in 0..n {
             pages.push(PageId(take_u32(b)?));
@@ -611,6 +611,13 @@ mod tests {
 
     fn pool(cap: usize) -> BufferPool {
         BufferPool::new(SimDisk::new(VirtualClock::new(CostModel::free())), cap)
+    }
+
+    #[test]
+    fn forged_page_count_is_undecodable() {
+        let mut b = vec![0u8; 16]; // root, height, len
+        b.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(BTree::restore_state(&mut &b[..]).is_none());
     }
 
     #[test]

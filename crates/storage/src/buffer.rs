@@ -212,10 +212,11 @@ impl BufferPool {
     /// Inverse of [`BufferPool::save_state`], re-reading clean frames from
     /// `disk`. `None` on truncated or inconsistent input.
     pub fn restore_state(b: &mut &[u8], disk: SimDisk) -> Option<BufferPool> {
-        use hazy_linalg::wire::{take_bytes, take_u32, take_u64, take_u8};
-        let capacity = take_u64(b)? as usize;
-        let hand = take_u64(b)? as usize;
-        let n_frames = take_u64(b)? as usize;
+        use hazy_linalg::wire::{take_bytes, take_count, take_u32, take_u64, take_u8};
+        let capacity = usize::try_from(take_u64(b)?).ok()?;
+        let hand = usize::try_from(take_u64(b)?).ok()?;
+        // a frame is at least pid(4) + referenced(1) + dirty(1)
+        let n_frames = take_count(b, 6)?;
         if n_frames > capacity {
             return None;
         }
@@ -330,6 +331,16 @@ mod tests {
     fn pool(capacity: usize) -> BufferPool {
         let disk = SimDisk::new(VirtualClock::new(CostModel::sata_2008()));
         BufferPool::new(disk, capacity)
+    }
+
+    #[test]
+    fn forged_frame_count_is_undecodable() {
+        let mut b = Vec::new();
+        for x in [u64::MAX, 0, u64::MAX] {
+            b.extend_from_slice(&x.to_le_bytes()); // capacity, hand, frames
+        }
+        let disk = SimDisk::new(VirtualClock::new(CostModel::free()));
+        assert!(BufferPool::restore_state(&mut &b[..], disk).is_none());
     }
 
     #[test]

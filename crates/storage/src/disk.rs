@@ -10,6 +10,13 @@ use crate::error::StorageError;
 /// Fixed page size, matching PostgreSQL's 8 KiB default.
 pub const PAGE_SIZE: usize = 8192;
 
+/// What a page with no backing memory reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
+fn zero_page() -> Box<[u8; PAGE_SIZE]> {
+    Box::new([0; PAGE_SIZE])
+}
+
 /// Operation class an injected device fault fires on.
 ///
 /// Armed with [`SimDisk::arm_fault`]; consumed by the checked access paths
@@ -40,7 +47,10 @@ impl PageId {
 /// else pays the random-access latency. Pages live in RAM; only the cost is
 /// simulated.
 pub struct SimDisk {
-    pages: Vec<Box<[u8; PAGE_SIZE]>>,
+    /// `None` is a freed page restored from a checkpoint: it reads as zeros
+    /// and holds no memory until it is reallocated, so a restored free list
+    /// costs a pointer per page, not 8 KiB per page.
+    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
     /// Freed pages, reused lowest-id first: a structure rebuilt after a
     /// `destroy` gets physically contiguous ascending pages again, so its
     /// scans stay sequential (a LIFO free list would hand pages back in
@@ -123,12 +133,12 @@ impl SimDisk {
         }
         if let Some(Reverse(pid)) = self.free.pop() {
             let pid = PageId(pid);
-            *self.pages[pid.0 as usize] = [0u8; PAGE_SIZE];
+            **self.pages[pid.0 as usize].get_or_insert_with(zero_page) = [0u8; PAGE_SIZE];
             return Ok(pid);
         }
         let pid = PageId(self.pages.len() as u32);
         assert!(pid != PageId::INVALID, "simulated disk full");
-        self.pages.push(Box::new([0u8; PAGE_SIZE]));
+        self.pages.push(Some(zero_page()));
         Ok(pid)
     }
 
@@ -182,7 +192,7 @@ impl SimDisk {
             return Err(StorageError::Io("injected page-read fault"));
         }
         self.charge(pid, false);
-        buf.copy_from_slice(&self.pages[pid.0 as usize][..]);
+        buf.copy_from_slice(self.page_bytes(pid));
         Ok(())
     }
 
@@ -204,7 +214,9 @@ impl SimDisk {
             return Err(StorageError::Io("injected page-write fault"));
         }
         self.charge(pid, true);
-        self.pages[pid.0 as usize].copy_from_slice(buf);
+        self.pages[pid.0 as usize]
+            .get_or_insert_with(zero_page)
+            .copy_from_slice(buf);
         Ok(())
     }
 
@@ -220,7 +232,7 @@ impl SimDisk {
     /// cursor movement — checkpointing must not perturb the machine state
     /// it is photographing).
     pub(crate) fn page_bytes(&self, pid: PageId) -> &[u8; PAGE_SIZE] {
-        &self.pages[pid.0 as usize]
+        self.pages[pid.0 as usize].as_deref().unwrap_or(&ZERO_PAGE)
     }
 
     /// Serializes the disk: capacity, free list, access cursor, and the
@@ -239,25 +251,31 @@ impl SimDisk {
             None => out.extend_from_slice(&u64::MAX.to_le_bytes()),
         }
         let is_free = |p: u32| free.binary_search(&p).is_ok();
-        for (i, page) in self.pages.iter().enumerate() {
-            if !is_free(i as u32) {
-                out.extend_from_slice(&page[..]);
+        for i in 0..self.pages.len() as u32 {
+            if !is_free(i) {
+                out.extend_from_slice(self.page_bytes(PageId(i)));
             }
         }
     }
 
-    /// Inverse of [`SimDisk::save_state`]; `None` on truncated input.
-    /// Freed pages are restored as zeros.
+    /// Inverse of [`SimDisk::save_state`]; `None` on truncated input or a
+    /// free list that is not strictly ascending page ids. Freed pages are
+    /// restored without memory and read as zeros.
     pub fn restore_state(b: &mut &[u8], clock: VirtualClock) -> Option<SimDisk> {
-        use hazy_linalg::wire::{take_bytes, take_u32, take_u64};
-        let n_pages = take_u64(b)? as usize;
-        let n_free = take_u64(b)? as usize;
+        use hazy_linalg::wire::{take_bytes, take_count, take_u32, take_u64};
+        // a page is at least its 4-byte free-list slot (free) or a page image
+        let n_pages = take_count(b, 4)?;
+        let n_free = take_count(b, 4)?;
         if n_free > n_pages {
             return None;
         }
-        let mut free_sorted = Vec::with_capacity(n_free);
+        let mut free_sorted: Vec<u32> = Vec::with_capacity(n_free);
         for _ in 0..n_free {
-            free_sorted.push(take_u32(b)?);
+            let p = take_u32(b)?;
+            if p as usize >= n_pages || free_sorted.last().is_some_and(|&q| q >= p) {
+                return None;
+            }
+            free_sorted.push(p);
         }
         let last_raw = take_u64(b)?;
         let last_accessed = if last_raw == u64::MAX { None } else { Some(last_raw as u32) };
@@ -265,24 +283,17 @@ impl SimDisk {
         let mut pages = Vec::with_capacity(n_pages);
         for i in 0..n_pages {
             if is_free(i as u32) {
-                pages.push(Box::new([0u8; PAGE_SIZE]));
+                pages.push(None);
             } else {
                 let raw = take_bytes(b, PAGE_SIZE)?;
-                let mut page = Box::new([0u8; PAGE_SIZE]);
+                let mut page = zero_page();
                 page.copy_from_slice(raw);
-                pages.push(page);
+                pages.push(Some(page));
             }
-        }
-        let mut free = BinaryHeap::with_capacity(n_free);
-        for p in free_sorted {
-            if (p as usize) >= n_pages {
-                return None;
-            }
-            free.push(Reverse(p));
         }
         Some(SimDisk {
             pages,
-            free,
+            free: free_sorted.into_iter().map(Reverse).collect(),
             last_accessed,
             clock,
             stats: Arc::new(IoStats::default()),
@@ -298,6 +309,46 @@ mod tests {
 
     fn disk() -> SimDisk {
         SimDisk::new(VirtualClock::new(CostModel::sata_2008()))
+    }
+
+    #[test]
+    fn forged_page_counts_are_undecodable() {
+        let clock = || VirtualClock::new(CostModel::free());
+        assert!(SimDisk::restore_state(&mut &u64::MAX.to_le_bytes()[..], clock()).is_none());
+        let mut b = 0u64.to_le_bytes().to_vec(); // no pages, then a forged free list
+        b.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(SimDisk::restore_state(&mut &b[..], clock()).is_none());
+
+        // every page free, only the free list present: 4 bytes of input a
+        // page, which must not each become an 8 KiB page (256 KiB of image
+        // would otherwise allocate 512 MiB)
+        let n = 1u32 << 16;
+        let image = |free: &mut dyn Iterator<Item = u32>| {
+            let mut b = u64::from(n).to_le_bytes().to_vec();
+            b.extend_from_slice(&u64::from(n).to_le_bytes());
+            free.for_each(|p| b.extend_from_slice(&p.to_le_bytes()));
+            b.extend_from_slice(&u64::MAX.to_le_bytes());
+            b
+        };
+        let b = image(&mut (0..n));
+        let mut d = SimDisk::restore_state(&mut &b[..], clock()).expect("a valid image");
+        assert_eq!((d.capacity_pages(), d.live_pages()), (n as usize, 0));
+        let mut again = Vec::new();
+        d.save_state(&mut again);
+        assert_eq!(again, b, "restores and saves back bit-identically");
+        let p = d.allocate();
+        assert_eq!(p, PageId(0), "lowest free page first");
+        let mut buf = [1u8; PAGE_SIZE];
+        d.read_page(p, &mut buf);
+        assert!(buf.iter().all(|&x| x == 0));
+
+        // a free list must be strictly ascending page ids
+        let b = image(&mut (0..n).map(|p| p.min(7)));
+        assert!(SimDisk::restore_state(&mut &b[..], clock()).is_none(), "repeated");
+        let b = image(&mut (0..n).rev());
+        assert!(SimDisk::restore_state(&mut &b[..], clock()).is_none(), "descending");
+        let b = image(&mut (1..=n));
+        assert!(SimDisk::restore_state(&mut &b[..], clock()).is_none(), "past the end");
     }
 
     #[test]

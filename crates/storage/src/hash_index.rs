@@ -294,10 +294,10 @@ impl HashIndex {
 
     /// Inverse of [`HashIndex::save_state`]; `None` on truncated input.
     pub fn restore_state(b: &mut &[u8]) -> Option<HashIndex> {
-        use hazy_linalg::wire::{take_u32, take_u64};
+        use hazy_linalg::wire::{take_count, take_u32, take_u64};
         let mut lists = [Vec::new(), Vec::new()];
         for list in &mut lists {
-            let n = take_u64(b)? as usize;
+            let n = take_count(b, 4)?;
             list.reserve(n);
             for _ in 0..n {
                 list.push(PageId(take_u32(b)?));
@@ -317,6 +317,14 @@ mod tests {
 
     fn pool() -> BufferPool {
         BufferPool::new(SimDisk::new(VirtualClock::new(CostModel::free())), 64)
+    }
+
+    #[test]
+    fn forged_page_count_is_undecodable() {
+        assert!(HashIndex::restore_state(&mut &u64::MAX.to_le_bytes()[..]).is_none());
+        let mut b = 0u64.to_le_bytes().to_vec(); // no buckets, then forged overflow
+        b.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(HashIndex::restore_state(&mut &b[..]).is_none());
     }
 
     #[test]

@@ -272,8 +272,8 @@ impl HeapFile {
     /// through it fails with [`StorageError::BadRid`], which is what
     /// recovery code probes for.
     pub fn restore_state(b: &mut &[u8]) -> Option<HeapFile> {
-        use hazy_linalg::wire::{take_u32, take_u64};
-        let n = take_u64(b)? as usize;
+        use hazy_linalg::wire::{take_count, take_u32, take_u64};
+        let n = take_count(b, 4)?;
         let mut pages = Vec::with_capacity(n);
         for _ in 0..n {
             pages.push(PageId(take_u32(b)?));
@@ -297,6 +297,11 @@ mod tests {
 
     fn pool() -> BufferPool {
         BufferPool::new(SimDisk::new(VirtualClock::new(CostModel::free())), 8)
+    }
+
+    #[test]
+    fn forged_page_count_is_undecodable() {
+        assert!(HeapFile::restore_state(&mut &u64::MAX.to_le_bytes()[..]).is_none());
     }
 
     #[test]

@@ -282,7 +282,8 @@ impl AdaptiveView {
         let last_migration_ns = wire::take_u64(b)?;
         let last_stats = ViewStats::restore_state(b)?;
         let advisor = Advisor::restore_state(b)?;
-        let n_events = wire::take_u32(b)? as usize;
+        // an event is four tags(1) + two u64 timestamps + the auto flag(1)
+        let n_events = wire::take_count_u32(b, 21)?;
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
             let from = (
@@ -397,5 +398,28 @@ impl ClassifierView for AdaptiveView {
 
     fn clock(&self) -> &VirtualClock {
         self.inner.clock()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hazy_linalg::FeatureVec;
+
+    /// A checkpoint whose migration log claims `u32::MAX` events with none
+    /// behind it is undecodable, not a 4-billion-slot allocation.
+    #[test]
+    fn forged_event_count_is_undecodable() {
+        let builder = ViewBuilder::new(Architecture::HazyMem, Mode::Eager).dim(2);
+        let entities = (0..8u64)
+            .map(|id| Entity::new(id, FeatureVec::dense(vec![id as f32 / 8.0 - 0.5, 0.25])))
+            .collect();
+        let v = AdaptiveView::build(&builder, AdvisorConfig::default(), entities, &[]);
+        let mut b = vec![v.arch.tag(), v.mode.tag()];
+        b.extend_from_slice(&v.last_migration_ns.to_le_bytes());
+        v.last_stats.save_state(&mut b);
+        v.advisor.save_state(&mut b);
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(AdaptiveView::restore_state(&builder, &mut &b[..], builder.new_clock()).is_none());
     }
 }
