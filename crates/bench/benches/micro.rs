@@ -1,16 +1,18 @@
 //! Criterion microbenches for the hot kernels under every experiment:
 //! dot products, SGD steps, watermark bookkeeping, the Skiing decision,
 //! tuple codec, B+-tree and buffer-pool paths, reorganization sorts, and
-//! the epoch publisher's model round, its re-score and a pinned ranked read.
+//! the epoch publisher's model round, its re-score, a pinned ranked read and
+//! a published SGD round on a text-sized model.
 //! These measure *wall* time of the real code (no simulated costs).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hazy_bench::common::{entities_of, warm_examples};
 use hazy_core::{
-    decode_tuple, decode_tuple_ref, encode_tuple, merge_sorted_tail, EpochPublisher, HTuple, Skiing,
+    decode_tuple, decode_tuple_ref, encode_tuple, merge_sorted_tail, Architecture, Entity,
+    EpochPublisher, HTuple, Mode, PublishedView, Skiing, ViewBuilder,
 };
 use hazy_datagen::{DatasetSpec, ExampleStream};
-use hazy_learn::{LinearModel, SgdConfig, SgdTrainer};
+use hazy_learn::{LinearModel, SgdConfig, SgdTrainer, TrainingExample};
 use hazy_linalg::{FeatureVec, Features, Norm, NormPair, OrdF64};
 use hazy_storage::{BTree, BufferPool, CostModel, HashIndex, SimDisk, VirtualClock};
 use rand::rngs::StdRng;
@@ -248,6 +250,29 @@ fn bench_epoch(c: &mut Criterion) {
     g.bench_function("epoch_top_k10_rescored", |b| {
         let pin = cell.pin();
         b.iter(|| black_box(pin.top_k(10)))
+    });
+
+    // one published one-example round on the SQL path's shape: an eager
+    // HazyMem view over 2 000 ℓ1-normalized 65 536-dim sparse entities —
+    // the engine's SGD step and band walk, then the publisher's O(nnz)
+    // drift bound, band walk, model copy and publish
+    const TEXT_DIM: u32 = 1 << 16;
+    let mut rng = StdRng::seed_from_u64(6);
+    let text = |rng: &mut StdRng| sparse_vec(rng, TEXT_DIM, 20).normalized(Norm::L1);
+    let docs: Vec<Entity> = (0..2_000).map(|id| Entity::new(id, text(&mut rng))).collect();
+    let feedback: Vec<TrainingExample> = (0..256)
+        .map(|_| TrainingExample::new(0, text(&mut rng), if rng.gen_bool(0.5) { 1 } else { -1 }))
+        .collect();
+    let builder = ViewBuilder::new(Architecture::HazyMem, Mode::Eager)
+        .norm_pair(NormPair::TEXT)
+        .dim(TEXT_DIM as usize);
+    g.bench_function("publish_round_text64k", |b| {
+        let mut view = PublishedView::new(builder.build(docs.clone(), &[]), NormPair::TEXT, 0);
+        let mut i = 0;
+        b.iter(|| {
+            view.update(&feedback[i % feedback.len()]);
+            i += 1;
+        })
     });
     g.finish();
 }

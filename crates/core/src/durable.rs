@@ -39,7 +39,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use hazy_learn::TrainingExample;
+use hazy_learn::{StepInfo, TrainingExample};
 use hazy_linalg::{decode_fvec, encode_fvec, wire};
 use hazy_storage::{
     charge_bulk_read, DurableImage, DurableStore, StorageError, VirtualClock, WalEnd, WalReader,
@@ -181,8 +181,8 @@ impl ViewRestorer for CoreRestorer {
 /// [`PublishedView`](crate::PublishedView) folds into its epoch stream
 /// after the engine has applied the record.
 pub(crate) enum Replayed {
-    /// A model round.
-    Update,
+    /// A model round: the batch and the SGD step each example took.
+    Update(Vec<TrainingExample>, Vec<StepInfo>),
     /// This entity arrived.
     Insert(Entity),
     /// This id was retracted (or was already absent).
@@ -215,8 +215,9 @@ pub(crate) fn apply_record(
             for _ in 0..n {
                 batch.push(take_example(&mut b)?);
             }
-            view.update_batch(&batch);
-            Replayed::Update
+            let mut steps = Vec::with_capacity(n);
+            view.update_batch_steps(&batch, &mut steps);
+            Replayed::Update(batch, steps)
         }
         rec::INSERT => {
             let e = take_entity(&mut b)?;
@@ -487,7 +488,7 @@ impl ClassifierView for DurableView {
         self.update_batch(std::slice::from_ref(ex));
     }
 
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
+    fn update_batch_steps(&mut self, batch: &[TrainingExample], steps: &mut Vec<StepInfo>) {
         if batch.is_empty() {
             return;
         }
@@ -497,7 +498,7 @@ impl ClassifierView for DurableView {
                 put_example(out, ex);
             }
         });
-        self.inner.update_batch(batch);
+        self.inner.update_batch_steps(batch, steps);
         self.after_op();
     }
 

@@ -39,7 +39,14 @@
 //!   controller, and once the accumulated waste reaches `α·S` the round
 //!   re-scores the shared population under the current model instead
 //!   (§3.2.1; Lemma 3.2 bounds the total at `1 + σ + α` times the best
-//!   schedule): band back to zero width, no feature payload copied.
+//!   schedule): band back to zero width, no feature payload copied. The
+//!   band's width needs only an upper bound on the drift `‖w − w(s)‖_p`,
+//!   and the publisher keeps one the way the engines do: a
+//!   [`DeltaTracker`] fed each SGD step the engine reports, O(nnz) a step,
+//!   reset at every re-score. The exact O(d) norm is left for rounds that
+//!   arrive without their steps (a bare
+//!   [`apply_update`](EpochPublisher::apply_update)); the
+//!   `core_epoch_exact_drift_total` counter counts them.
 //! * [`EpochCell`] — the publication point: an atomic pointer swap makes
 //!   a new epoch current, so the worst-case read stall during a full
 //!   reorganization is the cost of one pointer load. Stale epochs are
@@ -67,7 +74,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hazy_learn::{sign, Label, LinearModel, TrainingExample};
+use hazy_learn::{sign, Label, LinearModel, StepInfo, TrainingExample};
 use hazy_linalg::NormPair;
 use hazy_storage::sort_ops;
 
@@ -76,7 +83,7 @@ use crate::durable::{apply_record, DurableClassifierView, DurableView, Replayed}
 use crate::entity::Entity;
 use crate::skiing::Skiing;
 use crate::view::{bounded_top_k, Architecture, ClassifierView, Mode};
-use crate::watermark::{WaterMarks, WatermarkPolicy};
+use crate::watermark::{DeltaTracker, WaterMarks, WatermarkPolicy};
 
 /// Global epoch-lifecycle metrics: every [`EpochCell`] in the process
 /// (one per shard per view) reports into the same counters, giving an
@@ -102,6 +109,9 @@ struct EpochObs {
     /// (bumped once per read): the ratio is the bound pruning's reach.
     topk: &'static hazy_obs::Counter,
     topk_scored: &'static hazy_obs::Counter,
+    /// Model rounds that bounded the drift with the exact O(d) norm instead
+    /// of the O(nnz) [`DeltaTracker`] — zero on every product write path.
+    exact_drift: &'static hazy_obs::Counter,
 }
 
 fn epoch_obs() -> &'static EpochObs {
@@ -117,6 +127,7 @@ fn epoch_obs() -> &'static EpochObs {
         skiing_s: hazy_obs::gauge("core_epoch_skiing_s"),
         topk: hazy_obs::counter("core_epoch_topk_total"),
         topk_scored: hazy_obs::counter("core_epoch_topk_scored_total"),
+        exact_drift: hazy_obs::counter("core_epoch_exact_drift_total"),
     })
 }
 
@@ -301,6 +312,13 @@ impl ModelEpoch {
         obs.topk.inc();
         obs.topk_scored.add(scored);
         ranked
+    }
+
+    /// The publisher's low water at publish (Lemma 3.1): every population
+    /// tuple's margin under [`model`](Self::model) is at most its frozen
+    /// `eps` minus this. Zero right after a re-score.
+    pub fn low_water(&self) -> f64 {
+        self.lw
     }
 
     /// Number of overlay entries (label patches + inserts + retractions) —
@@ -576,12 +594,18 @@ pub struct EpochPublisher {
     cell: Arc<EpochCell>,
     pop: Arc<Population>,
     scoring: Arc<Scoring>,
-    /// Running watermark band over the scoring's frozen model; also
-    /// carries `M = max ‖f‖_q`, raised by inserts. Always
-    /// [`WatermarkPolicy::Monotone`]: the band must only grow, so a tuple
-    /// that flipped stays inside it and keeps being re-scored until the
-    /// next re-score.
+    /// Running watermark band over the scoring's frozen model (the `Arc`
+    /// the re-scored epoch holds); also carries `M = max ‖f‖_q`, raised by
+    /// inserts. Always [`WatermarkPolicy::Monotone`]: the band must only
+    /// grow, so a tuple that flipped stays inside it and keeps being
+    /// re-scored until the next re-score.
     marks: WaterMarks,
+    /// Upper bound on the model's drift since the last re-score, folded
+    /// from the engine's SGD steps in O(nnz) each. `None` once a round
+    /// arrived without its steps — a bare [`apply_update`](Self::apply_update),
+    /// or an engine that reported fewer steps than examples — until the
+    /// next re-score restarts it; such rounds pay the exact O(d) norm.
+    tracker: Option<DeltaTracker>,
     pair: NormPair,
     skiing: Skiing,
     /// Tuples inside the band at the last walk.
@@ -617,8 +641,9 @@ impl EpochPublisher {
         let order = (0..pop.entities.len() as u32).collect();
         let (scoring, s) = Scoring::build(&pop, &model, order);
         let positive = scoring.labels.iter().filter(|&&l| l > 0).count() as u64;
-        let marks = WaterMarks::new(model.clone(), pair, m_norm, WatermarkPolicy::Monotone);
         let model = Arc::new(model);
+        let marks = WaterMarks::new(Arc::clone(&model), pair, m_norm, WatermarkPolicy::Monotone);
+        let tracker = Some(DeltaTracker::new(&model, pair.p));
         let scoring = Arc::new(scoring);
         EpochPublisher {
             cell: Arc::new(EpochCell::new(ModelEpoch {
@@ -636,6 +661,7 @@ impl EpochPublisher {
             pop,
             scoring,
             marks,
+            tracker,
             pair,
             skiing: Skiing::new(1.0, s as f64),
             band_tuples: 0,
@@ -670,19 +696,40 @@ impl EpochPublisher {
         &self.skiing
     }
 
+    /// The [`DeltaTracker`]'s bound on `‖w − w(s)‖_p` against the model of
+    /// the last re-score, or `None` while a round without its steps has
+    /// left the tracker stale.
+    pub fn drift_bound(&self) -> Option<f64> {
+        self.tracker.as_ref().map(DeltaTracker::bound)
+    }
+
     /// Folds in a model round: the view applied one update statement (one
     /// or more SGD steps) and now serves `model`. Figure 7's rule: when
     /// the accumulated waste has reached `α·S` the round re-scores the
     /// population; otherwise it grows the watermark band and re-scores
     /// exactly the tuples inside it plus the dynamic inserts — everything
     /// else provably kept its label (Lemma 3.1).
+    ///
+    /// Without the round's SGD steps the band is sized by the exact O(d)
+    /// norm `‖w − w(s)‖_p`; [`PublishedView`] passes the steps instead.
     pub fn apply_update(&mut self, model: &LinearModel) {
+        self.model_round(model, None);
+    }
+
+    /// [`apply_update`](Self::apply_update), with the `(example, step)`
+    /// pairs of the round when the engine reported them.
+    fn model_round(
+        &mut self,
+        model: &LinearModel,
+        steps: Option<(&[TrainingExample], &[StepInfo])>,
+    ) {
         self.lsn += 1;
         self.model = Arc::new(model.clone());
         // an empty population has a = 0 = S, and nothing to re-score
         if !self.pop.entities.is_empty() && self.skiing.should_reorganize() {
             self.rebase(false);
         } else {
+            self.observe_drift(steps);
             self.band_walk();
         }
         let obs = epoch_obs();
@@ -692,11 +739,31 @@ impl EpochPublisher {
         self.step();
     }
 
+    /// Widens the marks by the round's drift. With every step since the
+    /// last re-score in hand the tracker's bound serves, O(nnz) a step;
+    /// otherwise the exact O(d) norm does, and the tracker stays stale until
+    /// the next re-score. Either bound is sound (Lemma 3.1), and every tuple
+    /// in the band is re-scored exactly, so answers do not depend on which.
+    fn observe_drift(&mut self, steps: Option<(&[TrainingExample], &[StepInfo])>) {
+        match (&mut self.tracker, steps) {
+            (Some(tracker), Some((batch, steps))) if steps.len() == batch.len() => {
+                for (info, ex) in steps.iter().zip(batch) {
+                    tracker.apply(info, &ex.f);
+                }
+                self.marks.observe_bounded(tracker.bound(), self.model.b);
+            }
+            _ => {
+                self.tracker = None;
+                self.marks.observe(&self.model);
+                epoch_obs().exact_drift.inc();
+            }
+        }
+    }
+
     /// The incremental step. Charged to Skiing: the band tuples it
     /// re-scores plus the flip patches publishing its result copies — the
     /// two costs a re-score resets to zero.
     fn band_walk(&mut self) {
-        self.marks.observe(&self.model);
         let (lw, hw) = (self.marks.low(), self.marks.high());
         let (pop, scoring, model) = (&*self.pop, &*self.scoring, &*self.model);
         // the band in eps order: tuples with lw < eps < hw
@@ -815,11 +882,11 @@ impl EpochPublisher {
 
     /// The reorganization Skiing pays `S` for: scores the population under
     /// the current model — one margin per entity, the sort started from
-    /// the previous `eps` order — and resets flips, band and marks. With
-    /// `fold_population` the inserts and retractions are merged into a
-    /// fresh population first (the one step that copies feature payloads);
-    /// without it they stay in the overlay and the population `Arc` is
-    /// shared on.
+    /// the previous `eps` order — and resets flips, band, marks and drift
+    /// tracker. With `fold_population` the inserts and retractions are
+    /// merged into a fresh population first (the one step that copies
+    /// feature payloads); without it they stay in the overlay and the
+    /// population `Arc` is shared on.
     fn rebase(&mut self, fold_population: bool) {
         let order = if fold_population {
             self.fold_population();
@@ -839,11 +906,12 @@ impl EpochPublisher {
         self.positive = (self.labels_now.iter().filter(|&&l| l > 0).count() - retracted.count()
             + self.added.values().filter(|(_, l)| *l > 0).count()) as u64;
         self.marks = WaterMarks::new(
-            LinearModel::clone(&self.model),
+            Arc::clone(&self.model),
             self.pair,
             self.marks.m_norm(),
             WatermarkPolicy::Monotone,
         );
+        self.tracker = Some(DeltaTracker::new(&self.model, self.pair.p));
         self.skiing.reorganized(s as f64);
         epoch_obs().rebases.inc();
         hazy_obs::emit(hazy_obs::EventKind::EpochRebase, self.lsn, self.band_tuples, s);
@@ -887,7 +955,7 @@ impl EpochPublisher {
             added: self.added.clone(),
             removed: self.removed.clone(),
             positive: self.positive,
-            // Monotone marks, observed on every band walk and reset with
+            // Monotone marks, widened by every round's drift and reset with
             // every re-score: a sound bound for `scoring` under `model`
             lw: self.marks.low(),
         });
@@ -937,6 +1005,11 @@ where
         &self.publisher.cell
     }
 
+    /// The publisher: its LSN, rebase count, Skiing ledger and drift bound.
+    pub fn publisher(&self) -> &EpochPublisher {
+        &self.publisher
+    }
+
     /// Shared access to the engine: statistics, model, clock, checkpoint
     /// serialization — nothing that can move an answer.
     pub fn engine(&self) -> &E::Target {
@@ -957,11 +1030,19 @@ where
     /// [`ClassifierView::update_batch`], published as one epoch for the
     /// statement. An empty batch is not an operation.
     pub fn update_batch(&mut self, batch: &[TrainingExample]) {
+        self.update_batch_steps(batch, &mut Vec::new());
+    }
+
+    /// [`ClassifierView::update_batch_steps`], published: the steps the
+    /// engine appends to `steps` also bound the round's drift for the
+    /// publisher, so the round costs it O(nnz), not an O(d) norm.
+    pub fn update_batch_steps(&mut self, batch: &[TrainingExample], steps: &mut Vec<StepInfo>) {
         if batch.is_empty() {
             return;
         }
-        self.engine.update_batch(batch);
-        self.publisher.apply_update(self.engine.model());
+        let from = steps.len();
+        self.engine.update_batch_steps(batch, steps);
+        self.publisher.model_round(self.engine.model(), Some((batch, &steps[from..])));
     }
 
     /// [`ClassifierView::insert_entity`], published.
@@ -1032,7 +1113,9 @@ impl PublishedView<Box<dyn DurableClassifierView + Send>> {
     /// `None` on an undecodable record (nothing is published).
     pub fn replay_record(&mut self, kind: u8, payload: &[u8]) -> Option<()> {
         match apply_record(self.engine.as_mut(), kind, payload)? {
-            Replayed::Update => self.publisher.apply_update(self.engine.model()),
+            Replayed::Update(batch, steps) => {
+                self.publisher.model_round(self.engine.model(), Some((&batch, &steps)));
+            }
             Replayed::Insert(e) => self.publisher.apply_insert(e),
             Replayed::Remove(id) => {
                 self.publisher.apply_remove(id);

@@ -12,7 +12,7 @@
 //! [`DiskStore`](crate::disk_store::DiskStore); the hybrid wraps the
 //! on-disk instance.
 
-use hazy_learn::{sign, Label, LinearModel, SgdTrainer, TrainingExample};
+use hazy_learn::{sign, Label, LinearModel, SgdTrainer, StepInfo, TrainingExample};
 use hazy_linalg::{wire, Norm, NormPair};
 use hazy_storage::VirtualClock;
 
@@ -353,7 +353,7 @@ impl<S: Store> ClassifierView for HazyView<S> {
         self.update_batch(std::slice::from_ref(ex));
     }
 
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
+    fn update_batch_steps(&mut self, batch: &[TrainingExample], steps: &mut Vec<StepInfo>) {
         if batch.is_empty() {
             return;
         }
@@ -366,6 +366,7 @@ impl<S: Store> ClassifierView for HazyView<S> {
             charge_classify(&self.clock, &ex.f);
             let info = self.trainer.step(&ex.f, ex.y);
             self.tracker.apply(&info, &ex.f);
+            steps.push(info);
             self.stats.updates += 1;
         }
         if self.mode == Mode::Eager {

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use hazy_learn::{Label, LinearModel, SgdTrainer, TrainingExample};
+use hazy_learn::{Label, LinearModel, SgdTrainer, StepInfo, TrainingExample};
 use hazy_linalg::{decode_fvec, encode_fvec, wire, FeatureVec, NormPair};
 use hazy_storage::{BufferPool, VirtualClock};
 
@@ -269,8 +269,8 @@ impl ClassifierView for HybridView {
         self.update_batch(std::slice::from_ref(ex));
     }
 
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
-        self.forward(|v| v.update_batch(batch));
+    fn update_batch_steps(&mut self, batch: &[TrainingExample], steps: &mut Vec<StepInfo>) {
+        self.forward(|v| v.update_batch_steps(batch, steps));
     }
 
     fn reorganize(&mut self) {

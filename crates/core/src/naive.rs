@@ -11,7 +11,7 @@
 //! store is the paper's claim that the Skiing/watermark strategy, not main
 //! memory alone, provides an order of magnitude.
 
-use hazy_learn::{sign, Label, LinearModel, SgdTrainer, TrainingExample};
+use hazy_learn::{sign, Label, LinearModel, SgdTrainer, StepInfo, TrainingExample};
 use hazy_linalg::wire;
 use hazy_storage::VirtualClock;
 
@@ -144,7 +144,7 @@ impl<S: Store> ClassifierView for NaiveView<S> {
         self.update_batch(std::slice::from_ref(ex));
     }
 
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
+    fn update_batch_steps(&mut self, batch: &[TrainingExample], steps: &mut Vec<StepInfo>) {
         if batch.is_empty() {
             return;
         }
@@ -155,7 +155,7 @@ impl<S: Store> ClassifierView for NaiveView<S> {
         self.clock.charge_ns(self.overheads.update_ns);
         for ex in batch {
             charge_classify(&self.clock, &ex.f);
-            self.trainer.step(&ex.f, ex.y);
+            steps.push(self.trainer.step(&ex.f, ex.y));
             self.stats.updates += 1;
         }
         if self.mode == Mode::Eager {

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use hazy_learn::{Label, LinearModel, SgdConfig, SgdTrainer, TrainingExample};
+use hazy_learn::{Label, LinearModel, SgdConfig, SgdTrainer, StepInfo, TrainingExample};
 use hazy_linalg::NormPair;
 use hazy_storage::{BufferPool, CostModel, SimDisk, SimFs, VirtualClock, PAGE_SIZE};
 
@@ -278,13 +278,28 @@ pub trait ClassifierView {
     ///
     /// Equivalent to calling [`update`](ClassifierView::update) once per
     /// example — the model takes the same SGD steps in the same order, and
-    /// every subsequent read serves the same answers. Architectures override
-    /// this to amortize per-statement maintenance: the watermark band after
-    /// `k` rounds covers every label that any of the `k` intermediate
-    /// models could have flipped, so eager maintenance runs **once** over
-    /// the accumulated band instead of `k` times — on disk, that is one
-    /// round of page pins instead of `k`.
+    /// every subsequent read serves the same answers. Architectures amortize
+    /// per-statement maintenance in
+    /// [`update_batch_steps`](ClassifierView::update_batch_steps), which this
+    /// runs: the watermark band after `k` rounds covers every label that any
+    /// of the `k` intermediate models could have flipped, so eager
+    /// maintenance runs **once** over the accumulated band instead of `k`
+    /// times — on disk, that is one round of page pins instead of `k`.
     fn update_batch(&mut self, batch: &[TrainingExample]) {
+        self.update_batch_steps(batch, &mut Vec::new());
+    }
+
+    /// [`update_batch`](ClassifierView::update_batch), appending the
+    /// [`StepInfo`] of each example's SGD step to `steps`, in batch order.
+    /// An epoch publisher folds them into a
+    /// [`DeltaTracker`](crate::DeltaTracker), which bounds the model's drift
+    /// in O(nnz) per step instead of an O(d) norm per round. Every
+    /// architecture and wrapper reports all its steps (and overrides this,
+    /// not `update_batch`); the default runs
+    /// [`update`](ClassifierView::update) per example and reports none, so a
+    /// publisher over it falls back to the exact norm.
+    fn update_batch_steps(&mut self, batch: &[TrainingExample], steps: &mut Vec<StepInfo>) {
+        let _ = steps;
         for ex in batch {
             self.update(ex);
         }

@@ -17,6 +17,8 @@
 //! ever have changed label since `s` — those are the only tuples the
 //! incremental step must touch.
 
+use std::sync::Arc;
+
 use hazy_learn::{LinearModel, StepInfo};
 use hazy_linalg::{FeatureVec, Norm, NormPair};
 
@@ -56,8 +58,10 @@ impl WatermarkPolicy {
 /// Watermark state for one stored model.
 #[derive(Clone, Debug)]
 pub struct WaterMarks {
-    /// The stored model `(w(s), b(s))` that `eps` values are measured under.
-    stored: LinearModel,
+    /// The stored model `(w(s), b(s))` that `eps` values are measured under,
+    /// `Arc`-shared so an epoch publisher's marks and its re-scored epochs
+    /// hold one copy of it.
+    stored: Arc<LinearModel>,
     pair: NormPair,
     /// `M = max ‖f‖_q` over the entities.
     m_norm: f64,
@@ -74,8 +78,14 @@ impl WaterMarks {
     /// Fresh watermarks right after a reorganization at the given stored
     /// model. Both waters start at 0 relative-margin (the stored model
     /// itself): `eps ≥ 0 ⇔ positive`.
-    pub fn new(stored: LinearModel, pair: NormPair, m_norm: f64, policy: WatermarkPolicy) -> Self {
+    pub fn new(
+        stored: impl Into<Arc<LinearModel>>,
+        pair: NormPair,
+        m_norm: f64,
+        policy: WatermarkPolicy,
+    ) -> Self {
         debug_assert!(pair.is_conjugate(), "need a Hölder pair");
+        let stored = stored.into();
         WaterMarks { stored, pair, m_norm, policy, lw: 0.0, hw: 0.0, prev_low: 0.0, prev_high: 0.0 }
     }
 
@@ -178,7 +188,7 @@ impl WaterMarks {
     /// Inverse of [`WaterMarks::save_state`]; `None` on malformed input.
     pub fn restore_state(b: &mut &[u8]) -> Option<WaterMarks> {
         use hazy_linalg::wire::{take_f64, take_u8};
-        let stored = LinearModel::restore_state(b)?;
+        let stored = Arc::new(LinearModel::restore_state(b)?);
         let p = hazy_linalg::Norm::from_tag(take_u8(b)?)?;
         let q = hazy_linalg::Norm::from_tag(take_u8(b)?)?;
         let policy = WatermarkPolicy::from_tag(take_u8(b)?)?;
@@ -229,7 +239,8 @@ impl WaterMarks {
 /// ```
 ///
 /// The tracker maintains `G` *coordinate-exactly* (a scaled dense vector,
-/// O(nnz) per step) plus p-norm bookkeeping:
+/// O(nnz) per step, grown only as far as the highest coordinate a step has
+/// touched) plus p-norm bookkeeping:
 ///
 /// * `p ∈ {1, 2}`: the norm of `G` is updated exactly from the touched
 ///   coordinates' before/after values;
@@ -244,8 +255,12 @@ impl WaterMarks {
 /// from it stays sound (it can only be wider than the exact band).
 #[derive(Clone, Debug)]
 pub struct DeltaTracker {
-    /// Gradient accumulation `G`, stored as `scale · v`.
+    /// Gradient accumulation `G`, stored as `scale · v`; coordinates past
+    /// `v.len()` are zero. A dictionary-coded vocabulary hands out its ids
+    /// from 0, so this stays as long as the vocabulary seen, not `d`.
     v: Vec<f64>,
+    /// `G`'s dimension: `v` is serialized zero-padded to it.
+    dim: usize,
     scale: f64,
     /// Valid upper bound on `‖G‖_∞`.
     linf_ub: f64,
@@ -265,7 +280,8 @@ impl DeltaTracker {
     /// Tracker starting at the reorganization point (`δ = 0`).
     pub fn new(stored: &LinearModel, p: Norm) -> DeltaTracker {
         DeltaTracker {
-            v: vec![0.0; stored.w.dim()],
+            v: Vec::new(),
+            dim: stored.w.dim(),
             scale: 1.0,
             linf_ub: 0.0,
             l2_sq: 0.0,
@@ -294,7 +310,11 @@ impl DeltaTracker {
     /// running float computation, so restoring anything but the exact bits
     /// would shift future watermark bands and break bit-identical recovery.
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        hazy_linalg::wire::put_f64s(out, &self.v);
+        let pad = self.dim.saturating_sub(self.v.len());
+        out.extend_from_slice(&((self.v.len() + pad) as u64).to_le_bytes());
+        for x in self.v.iter().chain(std::iter::repeat_n(&0.0, pad)) {
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
         for x in
             [self.scale, self.linf_ub, self.l2_sq, self.l1, self.k_prod, self.tau_term, self.stored_norm_p]
         {
@@ -315,7 +335,8 @@ impl DeltaTracker {
         let tau_term = take_f64(b)?;
         let stored_norm_p = take_f64(b)?;
         let p = Norm::from_tag(take_u8(b)?)?;
-        Some(DeltaTracker { v, scale, linf_ub, l2_sq, l1, k_prod, tau_term, stored_norm_p, p })
+        let dim = v.len();
+        Some(DeltaTracker { v, dim, scale, linf_ub, l2_sq, l1, k_prod, tau_term, stored_norm_p, p })
     }
 
     /// Folds in one SGD step applied to feature vector `f`.
@@ -335,9 +356,7 @@ impl DeltaTracker {
         }
         if info.grad_coef != 0.0 {
             let a = info.grad_coef;
-            if (f.dim() as usize) > self.v.len() {
-                self.v.resize(f.dim() as usize, 0.0);
-            }
+            self.dim = self.dim.max(f.dim() as usize);
             if self.scale == 0.0 {
                 // fully shrunk to zero: restart the accumulation
                 self.v.iter_mut().for_each(|x| *x = 0.0);
@@ -345,6 +364,9 @@ impl DeltaTracker {
             }
             for (j, x) in f.iter() {
                 let j = j as usize;
+                if j >= self.v.len() {
+                    self.v.resize(j + 1, 0.0);
+                }
                 let old = self.scale * self.v[j];
                 let new = old + a * f64::from(x);
                 self.v[j] = new / self.scale;
@@ -506,6 +528,33 @@ mod tests {
         let exact = trainer.model().delta_norm(&stored, Norm::LInf);
         assert!(tracker.bound() >= exact - 1e-12);
         assert!(tracker.bound() <= exact * 1.0 + 1e-9, "bound {} exact {exact}", tracker.bound());
+    }
+
+    /// `G` is held only up to the highest coordinate a step touched, yet the
+    /// tracker serializes as the dense `d`-vector it always did, and a
+    /// restored (dense) copy saves the same bytes and keeps bounding bit for
+    /// bit like the original.
+    #[test]
+    fn delta_tracker_grows_lazily_and_saves_dense() {
+        use hazy_learn::{SgdConfig, SgdTrainer};
+        let mut trainer = SgdTrainer::new(SgdConfig::svm(), 1000);
+        let mut tracker = DeltaTracker::new(trainer.model(), Norm::L2);
+        let f = FeatureVec::sparse(1000, vec![(3, 0.5), (17, -0.25)]);
+        let info = trainer.step(&f, 1);
+        tracker.apply(&info, &f);
+        assert_eq!(tracker.v.len(), 18, "grown to the highest touched coordinate");
+        let mut saved = Vec::new();
+        tracker.save_state(&mut saved);
+        assert_eq!(saved[..8], 1000u64.to_le_bytes(), "serialized at the model's dimension");
+        let mut back = DeltaTracker::restore_state(&mut &saved[..]).unwrap();
+        let mut again = Vec::new();
+        back.save_state(&mut again);
+        assert_eq!(again, saved);
+        let g = FeatureVec::sparse(1000, vec![(17, 1.0), (900, 0.5)]);
+        let info = trainer.step(&g, -1);
+        tracker.apply(&info, &g);
+        back.apply(&info, &g);
+        assert_eq!(tracker.bound().to_bits(), back.bound().to_bits());
     }
 
     #[test]

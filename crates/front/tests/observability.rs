@@ -9,6 +9,7 @@
 
 use hazy_core::{Architecture, Entity, Mode, ViewBuilder};
 use hazy_front::{Front, FrontConfig, Request, Response};
+use hazy_learn::TrainingExample;
 use hazy_linalg::FeatureVec;
 use hazy_rdbms::{Db, QueryResult};
 use hazy_serve::ShardedView;
@@ -20,7 +21,8 @@ fn metric(rows: &[(String, f64)], name: &str) -> f64 {
         .1
 }
 
-/// Drives the serve tier + front end (which pins epochs underneath).
+/// Drives the serve tier + front end (which pins epochs underneath), writes
+/// included.
 fn drive_front() {
     let entities: Vec<Entity> = (0..40)
         .map(|id| Entity::new(id, FeatureVec::dense(vec![(id % 5) as f32 - 2.0, 0.5])))
@@ -34,6 +36,10 @@ fn drive_front() {
     }
     assert!(matches!(client.call(Request::CountPositive), Response::Count(_)));
     assert!(matches!(client.call(Request::TopK { k: 3 }), Response::Ranked(_)));
+    for y in [1, -1, 1] {
+        let batch = vec![TrainingExample::new(0, FeatureVec::dense(vec![f32::from(y), 0.5]), y)];
+        assert!(matches!(client.call(Request::Train { batch }), Response::Done { .. }));
+    }
     front.shutdown();
 }
 
@@ -123,6 +129,10 @@ fn show_metrics_and_events_cover_every_subsystem() {
     // ranked reads and the tuples their bound-pruned walks scored
     assert!(metric(&rows, "core_epoch_topk_total") > 0.0);
     assert!(metric(&rows, "core_epoch_topk_scored_total") > 0.0);
+    // every model round above — SQL statements, the sharded front's write
+    // lane, replica replay — bounded its drift from the engine's SGD steps:
+    // none paid the exact O(d) norm
+    assert_eq!(metric(&rows, "core_epoch_exact_drift_total"), 0.0);
     // histograms surface as percentile sub-rows
     assert!(rows.iter().any(|(n, _)| n == "front_request_ns_p99"), "histogram expansion");
 

@@ -1513,6 +1513,34 @@ mod tests {
         assert_eq!(after.current_lsn(), operations);
     }
 
+    /// Every SQL write path hands its publishers the engine's SGD steps:
+    /// over plain, sharded, durable, replicated (replica replay included)
+    /// and adaptive views no model round pays the exact O(d) drift norm —
+    /// the `SHOW METRICS` counter that would say so stays at zero.
+    #[test]
+    fn sql_writes_bound_drift_without_the_exact_norm() {
+        let name = "core_epoch_exact_drift_total";
+        for extra in [
+            "USING SVM",
+            "USING SVM SHARDS 3",
+            "USING SVM DURABLE",
+            "USING SVM DURABLE REPLICAS 1",
+            "USING SVM ADAPTIVE",
+        ] {
+            let mut db = setup();
+            create_view(&mut db, extra);
+            teach(&mut db, 5);
+            db.execute("INSERT INTO Papers VALUES (7, 'database index storage')").unwrap();
+            teach(&mut db, 1);
+            db.execute("SELECT class FROM Labeled_Papers WHERE id = 7").unwrap();
+            assert_eq!(
+                db.execute(&format!("SHOW METRICS LIKE '{name}'")).unwrap(),
+                QueryResult::Metrics(vec![(name.to_string(), 0.0)]),
+                "{extra}"
+            );
+        }
+    }
+
     /// Regression: the idempotent-reinsert probe used to go through the
     /// durable engine's `read_single`, so every entity `INSERT` on a
     /// `DURABLE` view write-ahead logged (append + sync) a `READ` record

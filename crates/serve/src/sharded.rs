@@ -20,7 +20,7 @@ use hazy_core::{
     EpochPin, EpochStats, MemoryFootprint, Mode, PublishedView, ViewBuilder, ViewRestorer,
     ViewStats, SHARDED_VIEW_TAG,
 };
-use hazy_learn::{Label, LinearModel, TrainingExample};
+use hazy_learn::{Label, LinearModel, StepInfo, TrainingExample};
 use hazy_linalg::{wire, NormPair};
 use hazy_storage::{DurableStore, VirtualClock};
 
@@ -457,19 +457,27 @@ impl ShardedView {
 
     /// Applies one training example to every shard, one shard at a time.
     pub(crate) fn broadcast_update(&self, ex: &TrainingExample) {
-        self.broadcast_update_batch(std::slice::from_ref(ex));
+        self.broadcast_update_batch(std::slice::from_ref(ex), &mut Vec::new());
     }
 
     /// Applies a batch round to every shard, one shard at a time (each
     /// shard runs its single batched maintenance round, then publishes one
-    /// epoch for the statement).
-    pub(crate) fn broadcast_update_batch(&self, batch: &[TrainingExample]) {
+    /// epoch for the statement). The model is replicated, so every shard
+    /// takes the same SGD steps: shard 0's are appended to `steps`.
+    pub(crate) fn broadcast_update_batch(
+        &self,
+        batch: &[TrainingExample],
+        steps: &mut Vec<StepInfo>,
+    ) {
         if batch.is_empty() {
             return;
         }
         serve_obs().write_rounds.inc();
-        for shard in &self.shards {
-            shard.lock_view().update_batch(batch);
+        let mut others = Vec::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let out = if i == 0 { &mut *steps } else { &mut others };
+            shard.lock_view().update_batch_steps(batch, out);
+            others.clear();
             shard.sync_reads();
         }
     }
@@ -625,8 +633,8 @@ impl ClassifierView for ShardedView {
         self.refresh_model_cache();
     }
 
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
-        self.broadcast_update_batch(batch);
+    fn update_batch_steps(&mut self, batch: &[TrainingExample], steps: &mut Vec<StepInfo>) {
+        self.broadcast_update_batch(batch, steps);
         self.refresh_model_cache();
     }
 
@@ -789,7 +797,7 @@ impl WriteHandle {
     /// Applies a batch round to every shard, one shard at a time (each
     /// shard runs its single batched maintenance round).
     pub fn update_batch(&mut self, batch: &[TrainingExample]) {
-        self.view.broadcast_update_batch(batch);
+        self.view.broadcast_update_batch(batch, &mut Vec::new());
     }
 
     /// Routes a new entity to its home shard and classifies it there.

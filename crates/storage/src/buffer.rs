@@ -31,10 +31,31 @@ fn pool_obs() -> &'static PoolObs {
 
 struct Frame {
     pid: PageId,
-    data: Box<[u8; PAGE_SIZE]>,
+    /// The page bytes: held by every live frame, dropped by a dead one
+    /// (`pid` = `INVALID`), whose reuse installs a whole new `Frame`.
+    data: Option<Box<[u8; PAGE_SIZE]>>,
     dirty: bool,
     /// Clock-sweep reference bit: set on access, cleared as the hand passes.
     referenced: bool,
+}
+
+impl Frame {
+    /// An empty slot: no page, no flags.
+    fn dead() -> Frame {
+        Frame { pid: PageId::INVALID, data: None, dirty: false, referenced: false }
+    }
+
+    /// A live frame holding `data` for `pid`.
+    fn live(pid: PageId, data: Box<[u8; PAGE_SIZE]>, dirty: bool) -> Frame {
+        Frame { pid, data: Some(data), dirty, referenced: true }
+    }
+
+    /// The page bytes of a live frame. Only a dead frame holds none, and a
+    /// dead frame is never read, so the zero page this could allocate is
+    /// never needed.
+    fn page(&mut self) -> &mut [u8; PAGE_SIZE] {
+        self.data.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
 }
 
 /// Buffer pool over a [`SimDisk`]. Accesses are closure-scoped (`with_page`
@@ -95,8 +116,7 @@ impl BufferPool {
         // has been allocated yet and the pool is unchanged
         let slot = self.checked_grab_frame()?;
         let pid = self.disk.try_allocate()?;
-        self.frames[slot] =
-            Frame { pid, data: Box::new([0u8; PAGE_SIZE]), dirty: true, referenced: true };
+        self.frames[slot] = Frame::live(pid, Box::new([0u8; PAGE_SIZE]), true);
         self.map.insert(pid, slot);
         Ok(pid)
     }
@@ -105,9 +125,7 @@ impl BufferPool {
     pub fn free(&mut self, pid: PageId) {
         if let Some(slot) = self.map.remove(&pid) {
             // leave a dead frame; it will be reused by the sweep
-            self.frames[slot].dirty = false;
-            self.frames[slot].referenced = false;
-            self.frames[slot].pid = PageId::INVALID;
+            self.frames[slot] = Frame::dead();
         }
         self.disk.free(pid);
     }
@@ -115,7 +133,7 @@ impl BufferPool {
     /// Runs `f` over an immutable view of page `pid`.
     pub fn with_page<R>(&mut self, pid: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> R {
         let slot = self.fault_in(pid);
-        f(&self.frames[slot].data)
+        f(self.frames[slot].page())
     }
 
     /// Runs `f` over a mutable view of page `pid`, marking it dirty.
@@ -126,7 +144,7 @@ impl BufferPool {
     ) -> R {
         let slot = self.fault_in(pid);
         self.frames[slot].dirty = true;
-        f(&mut self.frames[slot].data)
+        f(self.frames[slot].page())
     }
 
     /// Checked variant of [`with_page`](BufferPool::with_page): returns
@@ -170,7 +188,7 @@ impl BufferPool {
             return Err(StorageError::BadRid);
         }
         let slot = self.checked_fault_in(pid)?;
-        Ok(f(&self.frames[slot].data))
+        Ok(f(self.frames[slot].page()))
     }
 
     /// Fully checked mutable access; see
@@ -186,7 +204,7 @@ impl BufferPool {
         }
         let slot = self.checked_fault_in(pid)?;
         self.frames[slot].dirty = true;
-        Ok(f(&mut self.frames[slot].data))
+        Ok(f(self.frames[slot].page()))
     }
 
     /// Serializes the pool's complete state *without flushing*: the frame
@@ -203,14 +221,19 @@ impl BufferPool {
             out.extend_from_slice(&fr.pid.0.to_le_bytes());
             out.push(u8::from(fr.referenced));
             out.push(u8::from(fr.dirty));
-            if fr.dirty && fr.pid != PageId::INVALID {
-                out.extend_from_slice(&fr.data[..]);
+            match &fr.data {
+                Some(data) if fr.dirty && fr.pid != PageId::INVALID => {
+                    out.extend_from_slice(&data[..]);
+                }
+                _ => {}
             }
         }
     }
 
     /// Inverse of [`BufferPool::save_state`], re-reading clean frames from
-    /// `disk`. `None` on truncated or inconsistent input.
+    /// `disk`. `None` on truncated or inconsistent input. A dead frame
+    /// (6 bytes on the wire) is restored without a page, so the pool
+    /// allocates in proportion to the image, not 8 KiB per frame.
     pub fn restore_state(b: &mut &[u8], disk: SimDisk) -> Option<BufferPool> {
         use hazy_linalg::wire::{take_bytes, take_count, take_u32, take_u64, take_u8};
         let capacity = usize::try_from(take_u64(b)?).ok()?;
@@ -226,16 +249,17 @@ impl BufferPool {
             let pid = PageId(take_u32(b)?);
             let referenced = take_u8(b)? != 0;
             let dirty = take_u8(b)? != 0;
-            let mut data = Box::new([0u8; PAGE_SIZE]);
+            let mut data = None;
             if pid != PageId::INVALID {
-                if dirty {
-                    data.copy_from_slice(take_bytes(b, PAGE_SIZE)?);
+                let page = if dirty {
+                    take_bytes(b, PAGE_SIZE)?
                 } else {
                     if !disk.is_allocated(pid) {
                         return None;
                     }
-                    data.copy_from_slice(&disk.page_bytes(pid)[..]);
-                }
+                    &disk.page_bytes(pid)[..]
+                };
+                data = Some(Box::new(<[u8; PAGE_SIZE]>::try_from(page).ok()?));
                 map.insert(pid, slot);
             }
             frames.push(Frame { pid, data, dirty, referenced });
@@ -251,8 +275,9 @@ impl BufferPool {
             .collect();
         dirty.sort_by_key(|&i| self.frames[i].pid);
         for i in dirty {
-            self.disk.write_page(self.frames[i].pid, &self.frames[i].data);
-            self.frames[i].dirty = false;
+            let fr = &mut self.frames[i];
+            self.disk.write_page(fr.pid, fr.page());
+            fr.dirty = false;
         }
     }
 
@@ -279,7 +304,7 @@ impl BufferPool {
         let slot = self.checked_grab_frame()?;
         let mut data = Box::new([0u8; PAGE_SIZE]);
         self.disk.try_read_page(pid, &mut data)?;
-        self.frames[slot] = Frame { pid, data, dirty: false, referenced: true };
+        self.frames[slot] = Frame::live(pid, data, false);
         self.map.insert(pid, slot);
         Ok(slot)
     }
@@ -289,12 +314,8 @@ impl BufferPool {
     /// `Err` with the victim still resident and dirty (nothing is lost).
     fn checked_grab_frame(&mut self) -> Result<usize, StorageError> {
         if self.frames.len() < self.capacity {
-            self.frames.push(Frame {
-                pid: PageId::INVALID,
-                data: Box::new([0u8; PAGE_SIZE]),
-                dirty: false,
-                referenced: false,
-            });
+            // the caller installs the whole frame
+            self.frames.push(Frame::dead());
             return Ok(self.frames.len() - 1);
         }
         loop {
@@ -311,10 +332,8 @@ impl BufferPool {
             let victim = self.hand;
             let old_pid = self.frames[victim].pid;
             if self.frames[victim].dirty {
-                let data = std::mem::replace(&mut self.frames[victim].data, Box::new([0u8; PAGE_SIZE]));
-                let wrote = self.disk.try_write_page(old_pid, &data);
-                self.frames[victim].data = data;
-                wrote?;
+                let data = self.frames[victim].page();
+                self.disk.try_write_page(old_pid, data)?;
             }
             self.map.remove(&old_pid);
             pool_obs().evictions.inc();
@@ -341,6 +360,57 @@ mod tests {
         }
         let disk = SimDisk::new(VirtualClock::new(CostModel::free()));
         assert!(BufferPool::restore_state(&mut &b[..], disk).is_none());
+    }
+
+    /// A dead frame is 6 bytes of image. Restoring one allocates no page, so
+    /// a forged image of many dead frames costs memory in proportion to its
+    /// size; the frame layout, flags and clock hand survive, and the pool
+    /// saves back bit-identically.
+    #[test]
+    fn dead_frames_restore_without_pages() {
+        let pages_held = |p: &BufferPool| p.frames.iter().filter(|f| f.data.is_some()).count();
+        // a real pool with dead frames between live ones
+        let mut p = pool(8);
+        let pids: Vec<PageId> = (0..6).map(|_| p.allocate()).collect();
+        p.with_page_mut(pids[1], |pg| pg[9] = 9);
+        p.flush_all();
+        p.with_page_mut(pids[4], |pg| pg[3] = 3);
+        p.free(pids[0]);
+        p.free(pids[2]);
+        assert_eq!(pages_held(&p), 4, "a freed frame keeps no page");
+        let mut saved = Vec::new();
+        p.save_state(&mut saved);
+        let mut image = Vec::new();
+        p.disk().save_state(&mut image);
+        let clock = VirtualClock::new(CostModel::free());
+        let disk = SimDisk::restore_state(&mut &image[..], clock).unwrap();
+        let restored = BufferPool::restore_state(&mut &saved[..], disk).unwrap();
+        assert_eq!(pages_held(&restored), 4);
+        let mut again = Vec::new();
+        restored.save_state(&mut again);
+        assert_eq!(again, saved);
+
+        // a forged image: 4 096 dead frames, odd flags, the hand mid-table
+        let n = 4096u64;
+        let mut forged = Vec::new();
+        for x in [n + 8, 17, n] {
+            forged.extend_from_slice(&x.to_le_bytes()); // capacity, hand, frames
+        }
+        for k in 0..n {
+            forged.extend_from_slice(&PageId::INVALID.0.to_le_bytes());
+            forged.extend_from_slice(&[u8::from(k % 2 == 0), u8::from(k % 3 == 0)]);
+        }
+        let disk = SimDisk::new(VirtualClock::new(CostModel::free()));
+        let mut restored = BufferPool::restore_state(&mut &forged[..], disk).unwrap();
+        assert_eq!((restored.frames.len(), restored.hand), (n as usize, 17));
+        assert_eq!(pages_held(&restored), 0, "{n} dead frames allocated pages");
+        let mut again = Vec::new();
+        restored.save_state(&mut again);
+        assert_eq!(again, forged);
+        // reuse installs a whole frame: the sweep takes a dead slot
+        let pid = restored.allocate();
+        restored.with_page_mut(pid, |pg| pg[0] = 1);
+        assert_eq!((restored.frames.len(), pages_held(&restored)), (n as usize + 1, 1));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use hazy_core::{
     Architecture, ClassifierView, Durable, DurableClassifierView, Entity, MemoryFootprint,
     Mode, ViewBuilder, ViewStats,
 };
-use hazy_learn::{Label, LinearModel, TrainingExample};
+use hazy_learn::{Label, LinearModel, StepInfo, TrainingExample};
 use hazy_linalg::wire;
 use hazy_storage::VirtualClock;
 
@@ -330,12 +330,14 @@ impl ClassifierView for AdaptiveView {
         self.update_batch(std::slice::from_ref(ex));
     }
 
-    fn update_batch(&mut self, batch: &[TrainingExample]) {
+    fn update_batch_steps(&mut self, batch: &[TrainingExample], steps: &mut Vec<StepInfo>) {
         if batch.is_empty() {
             return;
         }
         let nnz = mean_nnz(batch.iter().map(|ex| &ex.f));
-        self.run_op(OpKind::Update, batch.len() as u64, nnz, |v| v.update_batch(batch));
+        self.run_op(OpKind::Update, batch.len() as u64, nnz, |v| {
+            v.update_batch_steps(batch, steps)
+        });
     }
 
     fn reorganize(&mut self) {
