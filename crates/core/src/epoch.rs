@@ -47,15 +47,13 @@
 //!   arrive without their steps (a bare
 //!   [`apply_update`](EpochPublisher::apply_update)); the
 //!   `core_epoch_exact_drift_total` counter counts them.
-//! * [`EpochCell`] — the publication point: an atomic pointer swap makes
-//!   a new epoch current, so the worst-case read stall during a full
-//!   reorganization is the cost of one pointer load. Stale epochs are
-//!   reclaimed by a hand-rolled pin-count scheme in the spirit of
-//!   crossbeam-epoch (the build vendors its dependencies, so no external
-//!   epoch GC is available): readers announce themselves through an
-//!   `entering` counter, pin the current node, and the writer frees a
-//!   retired node only after observing `entering == 0` *and then*
-//!   `pins == 0` — at which point no present or future reader can hold it.
+//! * [`EpochCell`] — the publication point: an `RwLock<Arc<_>>` whose
+//!   write guard is held only to swap in an epoch the writer has already
+//!   built, so the worst-case read stall during a full reorganization is
+//!   one pointer swap. A pin is an `Arc` clone under the read guard, and
+//!   reclamation is the `Arc`'s: an epoch is freed by whoever drops its
+//!   last reference — the writer at publish, or the last reader to unpin
+//!   it.
 //!
 //! * [`PublishedView`] — an engine and its publisher as one value: the
 //!   only way product code publishes. Its write verbs apply an operation
@@ -63,16 +61,16 @@
 //!   the serving shards, the SQL catalog and the replicas all get "engine
 //!   and epochs in lockstep, one LSN tick per operation" by construction.
 //!
-//! Readers never take a lock shared with the writer; writers keep
-//! synchronizing with each other (and with control-plane fan-outs) on the
-//! shard mutexes, which is why the serving layer's locks shrink to
-//! writer–writer only.
+//! Readers never wait for a maintenance round — the one lock they share
+//! with the writer guards a pointer swap; writers keep synchronizing with
+//! each other (and with control-plane fan-outs) on the shard mutexes,
+//! which is why the serving layer's locks shrink to writer–writer only.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use hazy_learn::{sign, Label, LinearModel, StepInfo, TrainingExample};
 use hazy_linalg::NormPair;
@@ -89,17 +87,17 @@ use crate::watermark::{DeltaTracker, WaterMarks, WatermarkPolicy};
 /// (one per shard per view) reports into the same counters, giving an
 /// operator aggregate GC pressure at a glance.
 ///
-/// `pins` is *derived*, not recorded on the hot path: the pin protocol
+/// `pins` is *derived*, not recorded on the hot path: the pin path
 /// already maintains a per-cell `pin_count` for [`EpochStats`], and
-/// [`EpochCell::sync_pins`] folds its delta into the registry at
-/// publish/collect, stats, and drop. A pinned read therefore costs
-/// exactly what it cost before instrumentation existed.
+/// `Ledger::sync_pins` folds its delta into the registry whenever an
+/// epoch is reclaimed (which includes the cell's drop) and at
+/// [`EpochCell::stats`]. A pinned read therefore costs exactly what it
+/// cost before instrumentation existed.
 struct EpochObs {
     pins: &'static hazy_obs::Counter,
     published: &'static hazy_obs::Counter,
     reclaimed: &'static hazy_obs::Counter,
     rebases: &'static hazy_obs::Counter,
-    retired_live: &'static hazy_obs::Gauge,
     /// Tuples inside the `[lw, hw]` band at the last model round (Lemma 3.1).
     band_tuples: &'static hazy_obs::Gauge,
     /// Skiing's accumulated waste `a` and re-score cost `S`, in charged ops.
@@ -121,7 +119,6 @@ fn epoch_obs() -> &'static EpochObs {
         published: hazy_obs::counter("core_epoch_published_total"),
         reclaimed: hazy_obs::counter("core_epoch_reclaimed_total"),
         rebases: hazy_obs::counter("core_epoch_rebases_total"),
-        retired_live: hazy_obs::gauge("core_epoch_retired_live"),
         band_tuples: hazy_obs::gauge("core_epoch_band_tuples"),
         skiing_waste: hazy_obs::gauge("core_epoch_skiing_waste"),
         skiing_s: hazy_obs::gauge("core_epoch_skiing_s"),
@@ -335,163 +332,34 @@ impl ModelEpoch {
 pub struct EpochStats {
     /// Epochs published (including the initial one).
     pub published: u64,
-    /// Retired epochs whose storage has been reclaimed.
+    /// Superseded epochs whose storage has been reclaimed.
     pub reclaimed: u64,
     /// Reader pins taken over the cell's lifetime.
     pub pins: u64,
-    /// Retired epochs still awaiting reclamation (pinned, or a reader was
-    /// mid-pin at the last collection attempt).
+    /// Superseded epochs a pin still holds: `published − reclaimed − 1`.
     pub retired_live: u64,
 }
 
-/// A published epoch plus its pin count; heap-allocated and reclaimed by
-/// the cell's collector.
-struct EpochNode {
-    pins: AtomicU64,
-    epoch: ModelEpoch,
-}
-
-/// The publication point readers and the writer share: an atomic pointer
-/// to the current [`ModelEpoch`], plus the retired list the hand-rolled
-/// epoch GC drains.
-///
-/// Readers call [`pin`](EpochCell::pin) — three atomic operations, no
-/// locks, never blocked by a writer mid-reorganization. The writer calls
-/// [`publish`](EpochCell::publish) — one pointer swap — and reclaims
-/// drained epochs opportunistically.
-///
-/// # Reclamation safety
-///
-/// A retired node is freed only after the collector observes
-/// `entering == 0` and *then* `pins == 0` (both sequentially consistent,
-/// under the retired-list lock). Any reader that could still pin the node
-/// must have loaded the pointer before it was retired, hence inside its
-/// `entering` window; `entering == 0` proves every such window closed, so
-/// the pin count can no longer rise — `pins == 0` after that point means
-/// no reader holds or will ever hold the node.
-pub struct EpochCell {
-    current: AtomicPtr<EpochNode>,
-    /// Readers inside the load-then-pin window. While non-zero, nothing
-    /// retired can be proven unreachable, so collection is deferred.
-    entering: AtomicU64,
-    /// Retired nodes awaiting a drained pin count. Also serializes
-    /// publishers and collectors against each other (writer–writer only —
-    /// readers never touch it).
-    retired: Mutex<Vec<*mut EpochNode>>,
+/// The counters a cell and every epoch it published share, so that an
+/// epoch's own `Drop` can report its reclamation — whichever thread drops
+/// its last reference.
+#[derive(Default)]
+struct Ledger {
     published: AtomicU64,
     reclaimed: AtomicU64,
     pin_count: AtomicU64,
     /// High-water mark of `pin_count` already folded into the global
-    /// `core_epoch_pins_total` counter (see [`EpochCell::sync_pins`]).
+    /// `core_epoch_pins_total` counter (see [`Ledger::sync_pins`]).
     pins_synced: AtomicU64,
 }
 
-// The raw node pointers are managed exclusively by the cell's publish /
-// collect / drop protocol; the payloads they point at are `Send + Sync`.
-unsafe impl Send for EpochCell {}
-unsafe impl Sync for EpochCell {}
-
-impl EpochCell {
-    fn new(initial: ModelEpoch) -> EpochCell {
-        // register the lifecycle metrics up front so scrape surfaces list
-        // them (at zero) before the first cold-path sync runs
-        let _ = epoch_obs();
-        let node = Box::into_raw(Box::new(EpochNode { pins: AtomicU64::new(0), epoch: initial }));
-        EpochCell {
-            current: AtomicPtr::new(node),
-            entering: AtomicU64::new(0),
-            retired: Mutex::new(Vec::new()),
-            published: AtomicU64::new(1),
-            reclaimed: AtomicU64::new(0),
-            pin_count: AtomicU64::new(0),
-            pins_synced: AtomicU64::new(0),
-        }
-    }
-
-    /// Pins the current epoch: the returned guard keeps that epoch alive
-    /// (and bit-frozen) until dropped, no matter how many epochs the
-    /// writer publishes meanwhile. Lock-free and wait-free modulo the
-    /// guarantee that the writer swaps pointers rather than blocking.
-    pub fn pin(&self) -> EpochPin<'_> {
-        self.entering.fetch_add(1, Ordering::SeqCst);
-        let node = self.current.load(Ordering::SeqCst);
-        // Safety: `node` cannot have been freed — the collector frees a
-        // node only after observing `entering == 0`, and our window opened
-        // before the load above.
-        unsafe { (*node).pins.fetch_add(1, Ordering::SeqCst) };
-        self.entering.fetch_sub(1, Ordering::SeqCst);
-        // `pin_count` is the only accounting this path pays — the global
-        // `core_epoch_pins_total` counter is derived from it lazily by
-        // `sync_pins`, so instrumentation adds zero atomics per read.
-        self.pin_count.fetch_add(1, Ordering::Relaxed);
-        EpochPin { cell: self, node }
-    }
-
-    /// Publishes `epoch` as current (one pointer swap — the only moment a
-    /// reader's view of the world advances) and opportunistically reclaims
-    /// drained predecessors. Writer-side; concurrent publishers serialize
-    /// on the retired-list lock.
-    pub fn publish(&self, epoch: ModelEpoch) {
-        let lsn = epoch.lsn;
-        let node = Box::into_raw(Box::new(EpochNode { pins: AtomicU64::new(0), epoch }));
-        let mut retired = self.retired.lock().expect("epoch retired-list lock");
-        let old = self.current.swap(node, Ordering::SeqCst);
-        retired.push(old);
-        self.published.fetch_add(1, Ordering::Relaxed);
-        epoch_obs().published.inc();
-        hazy_obs::emit(hazy_obs::EventKind::EpochPublish, lsn, 0, 0);
-        self.collect_locked(&mut retired);
-    }
-
-    /// Attempts to reclaim drained retired epochs right now. Called
-    /// automatically by [`publish`](EpochCell::publish); exposed so tests
-    /// and long-idle writers can drain deterministically.
-    pub fn try_collect(&self) {
-        let mut retired = self.retired.lock().expect("epoch retired-list lock");
-        self.collect_locked(&mut retired);
-    }
-
-    fn collect_locked(&self, retired: &mut Vec<*mut EpochNode>) {
-        // A reader between its pointer load and pin increment could still
-        // pin any retired node; defer until no reader is in that window.
-        if self.entering.load(Ordering::SeqCst) != 0 {
-            return;
-        }
-        let before = retired.len();
-        retired.retain(|&node| {
-            // Safety: retired nodes are owned by this list; `entering == 0`
-            // was observed after retirement, so a zero pin count is final.
-            let pinned = unsafe { (*node).pins.load(Ordering::SeqCst) } > 0;
-            if !pinned {
-                drop(unsafe { Box::from_raw(node) });
-                self.reclaimed.fetch_add(1, Ordering::Relaxed);
-            }
-            pinned
-        });
-        let freed = (before - retired.len()) as u64;
-        if freed > 0 {
-            epoch_obs().reclaimed.add(freed);
-            hazy_obs::emit(hazy_obs::EventKind::EpochReclaim, freed, retired.len() as u64, 0);
-        }
-        epoch_obs().retired_live.set(retired.len() as f64);
-        self.sync_pins();
-    }
-
-    /// The cumulative pin count as one relaxed load — the derivation
-    /// source layered read metrics (e.g. the serving tier's per-shard
-    /// read counters) sync from, so the read hot path itself carries no
-    /// instrumentation atomics.
-    pub fn pin_total(&self) -> u64 {
-        self.pin_count.load(Ordering::Relaxed)
-    }
-
+impl Ledger {
     /// Folds pins taken since the last sync into the global
     /// `core_epoch_pins_total` counter. The pin path already maintains
     /// `pin_count` for [`EpochStats`], so the registry copy is pure
-    /// derivation, refreshed here at the protocol's cold moments —
-    /// publish/collect, [`stats`](EpochCell::stats), and drop. The
-    /// `fetch_max` high-water mark makes concurrent syncs credit each
-    /// pin exactly once.
+    /// derivation, refreshed at cold moments — every reclamation (the
+    /// cell's drop included) and [`EpochCell::stats`]. The `fetch_max`
+    /// high-water mark makes concurrent syncs credit each pin exactly once.
     fn sync_pins(&self) {
         let total = self.pin_count.load(Ordering::Relaxed);
         let prev = self.pins_synced.fetch_max(total, Ordering::Relaxed);
@@ -500,15 +368,114 @@ impl EpochCell {
             epoch_obs().pins.add(delta);
         }
     }
+}
+
+/// A published epoch, freed when its last `Arc` drops: the cell's, at the
+/// publish that supersedes it, or a reader's, at unpin.
+struct EpochNode {
+    ledger: Arc<Ledger>,
+    epoch: ModelEpoch,
+}
+
+impl Drop for EpochNode {
+    fn drop(&mut self) {
+        // Release pairs with the Acquire load in `EpochCell::stats`: the
+        // publish that superseded this node was counted before its swap,
+        // so a `stats` call that sees this reclaim sees that publish too
+        self.ledger.reclaimed.fetch_add(1, Ordering::Release);
+        epoch_obs().reclaimed.inc();
+        self.ledger.sync_pins();
+    }
+}
+
+/// The publication point readers and the writer share: the current
+/// [`ModelEpoch`] behind an `RwLock<Arc<_>>`.
+///
+/// Readers call [`pin`](EpochCell::pin) — an `Arc` clone under the read
+/// guard. The writer calls [`publish`](EpochCell::publish), which builds
+/// the new epoch's `Arc` first and holds the write guard only to swap it
+/// in, so a reader never waits on a maintenance round — at most on one
+/// pointer swap.
+///
+/// # Reclamation
+///
+/// Reclamation is the `Arc` reference count: the cell holds one reference
+/// to the current epoch and every pin one more, so an epoch is freed by
+/// whoever drops its last reference — the writer right after the swap
+/// (outside the guard), or the last reader to unpin it. A poisoned lock is
+/// recovered rather than propagated: the only write under the guard is a
+/// whole-`Arc` swap, which cannot be left half done.
+pub struct EpochCell {
+    current: RwLock<Arc<EpochNode>>,
+    ledger: Arc<Ledger>,
+}
+
+impl EpochCell {
+    fn new(initial: ModelEpoch) -> EpochCell {
+        // register the lifecycle metrics up front so scrape surfaces list
+        // them (at zero) before the first cold-path sync runs
+        let _ = epoch_obs();
+        let ledger = Arc::new(Ledger { published: AtomicU64::new(1), ..Ledger::default() });
+        let node = EpochNode { ledger: Arc::clone(&ledger), epoch: initial };
+        EpochCell { current: RwLock::new(Arc::new(node)), ledger }
+    }
+
+    /// Pins the current epoch: the returned guard keeps that epoch alive
+    /// (and bit-frozen) until dropped, no matter how many epochs the
+    /// writer publishes meanwhile. The read guard is held for one `Arc`
+    /// clone, and a writer holds the write guard for one pointer swap.
+    pub fn pin(&self) -> EpochPin<'_> {
+        let node = Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner));
+        // `pin_count` is the only accounting this path pays — the global
+        // `core_epoch_pins_total` counter is derived from it lazily by
+        // `sync_pins`, so instrumentation adds zero atomics per read.
+        self.ledger.pin_count.fetch_add(1, Ordering::Relaxed);
+        EpochPin { node, _cell: PhantomData }
+    }
+
+    /// Publishes `epoch` as current (one pointer swap — the only moment a
+    /// reader's view of the world advances). The superseded epoch is freed
+    /// here unless a pin still holds it. Writer-side; concurrent
+    /// publishers serialize on the write guard.
+    pub fn publish(&self, epoch: ModelEpoch) {
+        let lsn = epoch.lsn;
+        let node = Arc::new(EpochNode { ledger: Arc::clone(&self.ledger), epoch });
+        // counted before the swap, so no superseded epoch can be reclaimed
+        // before the publish that superseded it is counted
+        self.ledger.published.fetch_add(1, Ordering::Relaxed);
+        let old = std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(PoisonError::into_inner),
+            node,
+        );
+        // the guard was released at the end of the statement above, so
+        // freeing `old` holds up no reader
+        drop(old);
+        epoch_obs().published.inc();
+        hazy_obs::emit(hazy_obs::EventKind::EpochPublish, lsn, 0, 0);
+    }
+
+    /// The cumulative pin count as one relaxed load — the derivation
+    /// source layered read metrics (e.g. the serving tier's per-shard
+    /// read counters) sync from, so the read hot path itself carries no
+    /// instrumentation atomics.
+    pub fn pin_total(&self) -> u64 {
+        self.ledger.pin_count.load(Ordering::Relaxed)
+    }
 
     /// Lifecycle counters.
     pub fn stats(&self) -> EpochStats {
-        self.sync_pins();
+        let ledger = &self.ledger;
+        ledger.sync_pins();
+        // Acquire pairs with `EpochNode::drop`'s Release: every reclaim
+        // read here brings the publish that superseded it, so
+        // `published > reclaimed` and the subtraction cannot wrap
+        let reclaimed = ledger.reclaimed.load(Ordering::Acquire);
+        let published = ledger.published.load(Ordering::Relaxed);
         EpochStats {
-            published: self.published.load(Ordering::Relaxed),
-            reclaimed: self.reclaimed.load(Ordering::Relaxed),
-            pins: self.pin_count.load(Ordering::Relaxed),
-            retired_live: self.retired.lock().expect("epoch retired-list lock").len() as u64,
+            published,
+            reclaimed,
+            pins: ledger.pin_count.load(Ordering::Relaxed),
+            retired_live: published - reclaimed - 1,
         }
     }
 
@@ -518,45 +485,19 @@ impl EpochCell {
     }
 }
 
-impl Drop for EpochCell {
-    fn drop(&mut self) {
-        // the last chance to credit pins a read-only lifetime accumulated
-        self.sync_pins();
-        // `&mut self` proves no pins are outstanding (every `EpochPin`
-        // borrows the cell), so everything can be freed unconditionally.
-        let retired = self.retired.get_mut().expect("epoch retired-list lock");
-        for node in retired.drain(..) {
-            drop(unsafe { Box::from_raw(node) });
-        }
-        let current = self.current.load(Ordering::SeqCst);
-        if !current.is_null() {
-            self.current.store(ptr::null_mut(), Ordering::SeqCst);
-            drop(unsafe { Box::from_raw(current) });
-        }
-    }
-}
-
 /// A pinned epoch: dereferences to the [`ModelEpoch`] that was current at
-/// pin time and keeps it alive until dropped.
+/// pin time and keeps it alive until dropped. The lifetime ties the pin
+/// to the cell it was taken from.
 pub struct EpochPin<'a> {
-    cell: &'a EpochCell,
-    node: *mut EpochNode,
+    node: Arc<EpochNode>,
+    _cell: PhantomData<&'a EpochCell>,
 }
 
 impl Deref for EpochPin<'_> {
     type Target = ModelEpoch;
 
     fn deref(&self) -> &ModelEpoch {
-        // Safety: the pin count taken in `pin` keeps the node allocated.
-        unsafe { &(*self.node).epoch }
-    }
-}
-
-impl Drop for EpochPin<'_> {
-    fn drop(&mut self) {
-        // Safety: the node outlives the pin (its count is still raised).
-        unsafe { (*self.node).pins.fetch_sub(1, Ordering::SeqCst) };
-        let _ = self.cell;
+        &self.node.epoch
     }
 }
 
@@ -766,9 +707,11 @@ impl EpochPublisher {
     fn band_walk(&mut self) {
         let (lw, hw) = (self.marks.low(), self.marks.high());
         let (pop, scoring, model) = (&*self.pop, &*self.scoring, &*self.model);
-        // the band in eps order: tuples with lw < eps < hw
+        // the band in eps order: tuples with lw < eps < hw. `hi` is sought
+        // past `lo`: a zero-width band (lw == hw) over a tuple at exactly
+        // that eps would otherwise put `hi` before `lo`
         let lo = scoring.by_eps.partition_point(|&i| scoring.eps[i as usize] <= lw);
-        let hi = scoring.by_eps.partition_point(|&i| scoring.eps[i as usize] < hw);
+        let hi = lo + scoring.by_eps[lo..].partition_point(|&i| scoring.eps[i as usize] < hw);
         self.band_tuples = (hi - lo) as u64;
         let skip_removed = !self.removed.is_empty();
         let mut ops = 0u64;
@@ -1251,16 +1194,85 @@ mod tests {
         for _ in 0..10 {
             p.apply_noop();
         }
-        cell.try_collect();
         let s = cell.stats();
         assert!(s.retired_live >= 1, "pinned epoch was drained from the retired list: {s:?}");
         assert_eq!(pin.lsn(), pinned_lsn, "pinned epoch mutated under publication");
         drop(pin);
-        cell.try_collect();
         let s = cell.stats();
         assert_eq!(s.retired_live, 0, "drained epoch not reclaimed: {s:?}");
         // everything retired is reclaimed; only the current epoch lives
         assert_eq!(s.published, s.reclaimed + 1, "{s:?}");
+    }
+
+    /// The last reader to unpin a superseded epoch frees it, with no later
+    /// publish. Meanwhile a poller never sees more reclaims than
+    /// superseded epochs: `published` is counted before the swap.
+    #[test]
+    fn last_unpin_reclaims_without_another_publish() {
+        const N: u64 = 50;
+        let mut p =
+            EpochPublisher::new(entities(20), model(vec![1.0, 0.0], 0.0), NormPair::EUCLIDEAN, 0);
+        let handle = p.handle();
+        let cell: &EpochCell = &handle;
+        let stop = &std::sync::atomic::AtomicBool::new(false);
+        let (polling_tx, polling_rx) = std::sync::mpsc::channel();
+        let mut polling_tx = Some(polling_tx);
+        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        // nothing asserts inside the scope until the poller is told to stop,
+        // and each thread owns the sender the writer waits on, so a failure
+        // cannot leave the scope waiting forever
+        let (held, reader, after, poller) = std::thread::scope(|s| {
+            let poller = s.spawn(move || loop {
+                let es = cell.stats();
+                assert!(es.published > es.reclaimed, "reclaimed ran ahead: {es:?}");
+                if let Some(tx) = polling_tx.take() {
+                    let _ = tx.send(());
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+            });
+            let reader = s.spawn(move || {
+                let pin = cell.pin();
+                let _ = pinned_tx.send(());
+                let _ = release_rx.recv();
+                assert_eq!(pin.lsn(), 0, "pinned epoch mutated under publication");
+            });
+            // publish only once the poller is polling and the reader pinned
+            let _ = polling_rx.recv();
+            let _ = pinned_rx.recv();
+            for _ in 0..N {
+                p.apply_noop();
+            }
+            let held = cell.stats();
+            let _ = release_tx.send(());
+            let reader = reader.join();
+            let after = cell.stats();
+            stop.store(true, Ordering::Relaxed);
+            (held, reader, after, poller.join())
+        });
+        reader.expect("reader");
+        poller.expect("poller");
+        assert_eq!(held.retired_live, 1, "only the pinned epoch outlives its publish: {held:?}");
+        assert_eq!(after.published, N + 1);
+        assert_eq!(after.reclaimed, after.published - 1, "the unpin freed its epoch: {after:?}");
+    }
+
+    /// A round that moves nothing leaves a zero-width band (`lw == hw ==
+    /// 0`); tuples frozen at exactly `eps == 0` must not cross the walk's
+    /// bounds.
+    #[test]
+    fn zero_width_band_over_zero_margins() {
+        let zero = LinearModel::zeros(2);
+        let mut p = EpochPublisher::new(entities(4), zero.clone(), NormPair::EUCLIDEAN, 0);
+        p.apply_update(&zero);
+        let cell = p.handle();
+        let pin = cell.pin();
+        assert_eq!(pin.lsn(), 1);
+        for e in entities(4) {
+            assert_eq!(pin.classify(e.id), Some(zero.predict(&e.f)));
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //!
 //! [`VirtualClock`]: hazy_storage::VirtualClock
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cost;

@@ -251,7 +251,6 @@ fn epoch_pins_survive_crash_at_every_wal_boundary() {
 
     // and the live cell drains exactly once the pins drop
     drop(pins);
-    cell.try_collect();
     let es = cell.stats();
     assert_eq!(es.retired_live, 0, "retired chain drained after pins dropped");
     assert_eq!(es.reclaimed + 1, es.published, "exactly the current epoch survives");

@@ -5,8 +5,8 @@
 //! * **immutability** — once pinned, a [`hazy_core::ModelEpoch`]'s answers
 //!   are bit-frozen under arbitrary interleavings of model updates,
 //!   inserts, removals, reorganizations (rebases) and architecture
-//!   migrations happening behind it, with the collector running after
-//!   every single operation;
+//!   migrations happening behind it, each publish freeing every unpinned
+//!   epoch it supersedes;
 //! * **conservation** — at every step,
 //!   `published == reclaimed + retired_live + 1` (the current epoch):
 //!   nothing is double-freed, nothing leaks out of the ledger, and a
@@ -122,8 +122,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 /// Applies one op to the live view and mirrors it into the publisher the
-/// way the serving layer does, collecting after every step so reclamation
-/// pressure is maximal while pins are held.
+/// way the serving layer does; every publish reclaims what no pin holds.
 fn writer_step(
     b: &ViewBuilder,
     view: &mut BoxedView,
@@ -165,7 +164,6 @@ fn writer_step(
             publisher.apply_noop();
         }
     }
-    publisher.handle().try_collect();
 }
 
 proptest! {
@@ -173,9 +171,9 @@ proptest! {
 
     /// A pin taken at an arbitrary point keeps serving bit-identical
     /// answers while the writer applies an arbitrary suffix of operations
-    /// — including rebases and migrations — with the collector invoked
-    /// after every one of them. The ledger conserves every epoch at every
-    /// step, and drains fully once the pin drops.
+    /// — including rebases and migrations — each reclaiming what no pin
+    /// holds. The ledger conserves every epoch at every step, and drains
+    /// fully once the pin drops.
     #[test]
     fn pinned_answers_are_immutable_under_writer_pressure(
         ops in prop::collection::vec(arb_op(), 1..80),
@@ -222,10 +220,9 @@ proptest! {
         }
         prop_assert_eq!(pin.model().b.to_bits(), frozen_model.b.to_bits());
 
-        // the pinned epoch was never reclaimed: dropping the pin and
-        // collecting once must drain the whole retired chain
+        // the pinned epoch was never reclaimed: dropping the pin must
+        // drain the whole retired chain
         drop(pin);
-        cell.try_collect();
         let es = cell.stats();
         prop_assert_eq!(es.retired_live, 0, "retired chain not drained after unpin");
         prop_assert_eq!(es.reclaimed + 1, es.published, "exactly the current epoch survives");
@@ -335,7 +332,6 @@ proptest! {
                     prop_assert_eq!(publisher.apply_remove(id), live.remove(&id).is_some());
                 }
             }
-            cell.try_collect();
             let ids: Vec<u64> = (0..=next_id + 1).collect();
             prop_assert_eq!(
                 answers_of(&cell.pin(), &ids),
@@ -407,8 +403,8 @@ fn skiing_rebase_allocates_a_scoring_not_a_population() {
 }
 
 /// The allocation-balance proof. One measured scope builds a publisher,
-/// storms it with updates/rebases while a pin is held (collector after
-/// every publish), then unpins and drops everything: the thread's live
+/// storms it with updates/rebases while a pin is held, then unpins and
+/// drops everything: the thread's live
 /// byte count must return exactly to its pre-scope value. Run twice — the
 /// first pass warms up lazily-initialized runtime state (stdio, TLS) so
 /// the second pass measures only the epoch machinery.
@@ -444,7 +440,6 @@ fn epoch_reclamation_is_allocation_balanced() {
                 if (i as u64).is_multiple_of(97) {
                     publisher.apply_reorganize();
                 }
-                cell.try_collect();
                 if i == 200 {
                     // re-pin mid-storm: the old pin drains, a fresh epoch
                     // gets held across the rest of the run
@@ -462,7 +457,6 @@ fn epoch_reclamation_is_allocation_balanced() {
                 );
             }
             drop(pin);
-            cell.try_collect();
             let es = cell.stats();
             assert_eq!(es.retired_live, 0, "retired chain must drain once unpinned");
             assert_eq!(es.reclaimed + 1, es.published);

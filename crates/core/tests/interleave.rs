@@ -235,10 +235,9 @@ fn run_config(arch: Architecture, mode: Mode) {
         assert!(r.cycles > 0, "{ctx}: a reader never completed a probe cycle");
     }
 
-    // reclamation: with every pin dropped, one collect pass frees the whole
-    // retired chain; only the current epoch stays live
+    // reclamation: dropping the last pins freed the whole retired chain;
+    // only the current epoch stays live
     drop(readers);
-    cell.try_collect();
     let es = cell.stats();
     assert_eq!(es.published, final_lsn + 1, "{ctx}: one publication per LSN");
     assert_eq!(es.reclaimed, es.published - 1, "{ctx}: all retired epochs reclaimed");

@@ -1,14 +1,12 @@
-//! Structured trace events in a bounded lock-free ring.
+//! Structured trace events in a bounded ring.
 //!
-//! The ring is a Vyukov-style MPMC queue of fixed-size [`Event`]s: each
-//! slot carries its own sequence atomic, producers claim slots with a
-//! CAS on the enqueue cursor, and neither side ever takes a lock. When
-//! the ring is full a producer *displaces* the oldest unread event
-//! (popping it and counting it dropped) rather than blocking or losing
-//! the fresh event — observability wants recent history, flight-recorder
-//! style. If even displacement loses the race twice, the new event
-//! itself is dropped and counted. Either way every emitted event is
-//! accounted exactly once:
+//! The ring is a `VecDeque` of fixed-size [`Event`]s behind a mutex, held
+//! for one O(1) push or pop. When the ring is full a producer *displaces*
+//! the oldest unread event (counting it dropped) rather than waiting for
+//! a consumer or losing the fresh event — observability wants recent
+//! history, flight-recorder style. Sequence numbers are assigned under
+//! the same lock, so they increase strictly in ring order, and every
+//! emitted event is accounted exactly once:
 //!
 //! ```text
 //! emitted == read + dropped + still-in-ring
@@ -17,9 +15,8 @@
 //! which the loss-accounting property test pins under concurrent
 //! writers.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// What happened. The payload fields `a`/`b`/`c` of [`Event`] are
 /// interpreted per kind; see each variant.
@@ -42,9 +39,6 @@ pub enum EventKind {
     /// the rebased epoch, `b` = tuples the `[lw, hw]` band held when it
     /// was reset, `c` = charged cost `S` of the re-score (ops).
     EpochRebase,
-    /// Epoch GC freed retired snapshots: `a` = snapshots reclaimed,
-    /// `b` = still retired (live pins hold them).
-    EpochReclaim,
     /// The ski-rental advisor ordered a switch: `a` = from-arch code,
     /// `b` = to-arch code, `c` = accumulated regret (ns).
     AdvisorDecision,
@@ -89,7 +83,6 @@ impl EventKind {
             EventKind::RetryExhausted => "retry-exhausted",
             EventKind::EpochPublish => "epoch-publish",
             EventKind::EpochRebase => "epoch-rebase",
-            EventKind::EpochReclaim => "epoch-reclaim",
             EventKind::AdvisorDecision => "advisor-decision",
             EventKind::MigrationStart => "migration-start",
             EventKind::MigrationFinish => "migration-finish",
@@ -105,11 +98,11 @@ impl EventKind {
     }
 }
 
-/// One structured trace event. Plain `Copy` data so ring slots never
-/// allocate or drop.
+/// One structured trace event: plain `Copy` data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
-    /// Ring-assigned monotonic sequence number (gaps mean drops).
+    /// Ring-assigned sequence number, strictly increasing in ring order
+    /// (gaps mean drops).
     pub seq: u64,
     /// [`crate::now_ns`] at emit time.
     pub at_ns: u64,
@@ -141,7 +134,6 @@ impl Event {
             RetryExhausted => format!("attempts={} backoff_ns={}", self.a, self.b),
             EpochPublish => format!("lsn={}", self.a),
             EpochRebase => format!("lsn={} band_tuples={} s={}", self.a, self.b, self.c),
-            EpochReclaim => format!("reclaimed={} retired={}", self.a, self.b),
             AdvisorDecision => format!("from={} to={} regret_ns={}", self.a, self.b, self.c),
             MigrationStart => format!("from={} to={} auto={}", self.a, self.b, self.c),
             MigrationFinish => format!("from={} to={} pause_ns={}", self.a, self.b, self.c),
@@ -164,203 +156,93 @@ impl Event {
     }
 }
 
-impl Default for Event {
-    fn default() -> Event {
-        Event { seq: 0, at_ns: 0, kind: EventKind::WalFsync, a: 0, b: 0, c: 0 }
-    }
-}
-
-/// One ring slot: a per-slot sequence atomic (the Vyukov handshake) plus
-/// the payload. `turn == pos` means "free for the producer that claimed
-/// position `pos`"; `turn == pos + 1` means "holds the event of position
-/// `pos`, ready for a consumer".
-struct Slot {
-    turn: AtomicU64,
-    data: UnsafeCell<Event>,
-}
-
-/// A bounded lock-free MPMC ring of [`Event`]s with drop accounting.
+/// A bounded ring of [`Event`]s with drop accounting.
+#[derive(Debug)]
 pub struct EventRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    enqueue: AtomicU64,
-    dequeue: AtomicU64,
-    next_seq: AtomicU64,
-    emitted: AtomicU64,
-    read: AtomicU64,
-    dropped: AtomicU64,
+    capacity: usize,
+    inner: Mutex<Ring>,
 }
 
-// SAFETY: slot payloads are only touched between winning the position
-// CAS and publishing the slot's `turn` (release store), which the other
-// side acquires before reading — the standard Vyukov exclusive-access
-// argument. `Event` is plain `Copy` data.
-unsafe impl Send for EventRing {}
-unsafe impl Sync for EventRing {}
-
-impl std::fmt::Debug for EventRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventRing")
-            .field("capacity", &(self.mask + 1))
-            .field("emitted", &self.emitted)
-            .field("read", &self.read)
-            .field("dropped", &self.dropped)
-            .finish()
-    }
+/// The ring's state; every field changes only under the ring's lock.
+#[derive(Debug)]
+struct Ring {
+    events: VecDeque<Event>,
+    /// Events ever emitted, which is also the next sequence number.
+    emitted: u64,
+    read: u64,
+    dropped: u64,
 }
 
 impl EventRing {
-    /// A ring holding up to `capacity` events (rounded up to a power of
-    /// two, minimum 2).
+    /// A ring holding up to `capacity` events (minimum 1).
     pub fn new(capacity: usize) -> EventRing {
-        let cap = capacity.max(2).next_power_of_two() as u64;
+        let capacity = capacity.max(1);
         EventRing {
-            slots: (0..cap)
-                .map(|i| Slot { turn: AtomicU64::new(i), data: UnsafeCell::new(Event::default()) })
-                .collect(),
-            mask: cap - 1,
-            enqueue: AtomicU64::new(0),
-            dequeue: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
-            emitted: AtomicU64::new(0),
-            read: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            capacity,
+            inner: Mutex::new(Ring {
+                events: VecDeque::with_capacity(capacity),
+                emitted: 0,
+                read: 0,
+                dropped: 0,
+            }),
         }
     }
 
-    /// Vyukov push. `Err(ev)` means the ring was full at the attempt.
-    fn try_push(&self, ev: Event) -> Result<(), Event> {
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let turn = slot.turn.load(Ordering::Acquire);
-            if turn == pos {
-                match self.enqueue.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS on `enqueue` at `pos`
-                        // grants exclusive write access to this slot until
-                        // the release store below hands it to consumers.
-                        unsafe { *slot.data.get() = ev };
-                        slot.turn.store(pos + 1, Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(seen) => pos = seen,
-                }
-            } else if turn < pos {
-                // the consumer side hasn't freed this slot: full
-                return Err(ev);
-            } else {
-                pos = self.enqueue.load(Ordering::Relaxed);
-            }
-        }
+    /// The ring's lock. A panic cannot leave the ring half-updated — every
+    /// mutation is a push, a pop or a counter bump — so a poisoned lock is
+    /// recovered rather than propagated into every later emit.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Vyukov pop; `None` when empty. Does not touch the read/dropped
-    /// counters — callers account for what they do with the event.
-    fn try_pop(&self) -> Option<Event> {
-        let mut pos = self.dequeue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let turn = slot.turn.load(Ordering::Acquire);
-            if turn == pos + 1 {
-                match self.dequeue.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS on `dequeue` at `pos`
-                        // grants exclusive read access until the release
-                        // store frees the slot for the next lap.
-                        let ev = unsafe { *slot.data.get() };
-                        slot.turn.store(pos + self.mask + 1, Ordering::Release);
-                        return Some(ev);
-                    }
-                    Err(seen) => pos = seen,
-                }
-            } else if turn <= pos {
-                // no producer has filled this slot yet: empty
-                return None;
-            } else {
-                pos = self.dequeue.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Emits an event. Never blocks: on a full ring the oldest unread
-    /// event is displaced (and counted dropped); if displacement races
-    /// out, the fresh event itself is dropped (and counted). Sequence
-    /// numbers are assigned in emit order and are monotonic per ring.
+    /// Emits an event. On a full ring the oldest unread event is
+    /// displaced (and counted dropped), so an emit waits only for another
+    /// thread's O(1) push or pop. Sequence numbers are assigned under the
+    /// lock, in ring order, starting at 0.
     pub fn emit(&self, kind: EventKind, a: u64, b: u64, c: u64) {
         if !crate::enabled() {
             return;
         }
-        let ev = Event {
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-            at_ns: crate::now_ns(),
-            kind,
-            a,
-            b,
-            c,
-        };
-        self.emitted.fetch_add(1, Ordering::Relaxed);
-        let mut ev = ev;
-        for _ in 0..2 {
-            match self.try_push(ev) {
-                Ok(()) => return,
-                Err(back) => {
-                    ev = back;
-                    if self.try_pop().is_some() {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+        let at_ns = crate::now_ns();
+        let mut ring = self.lock();
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
+            ring.dropped += 1;
         }
-        if self.try_push(ev).is_ok() {
-            return;
-        }
-        self.dropped.fetch_add(1, Ordering::Relaxed);
+        let seq = ring.emitted;
+        ring.emitted += 1;
+        ring.events.push_back(Event { seq, at_ns, kind, a, b, c });
     }
 
     /// Pops the oldest retained event, counting it as read.
     pub fn pop(&self) -> Option<Event> {
-        let ev = self.try_pop()?;
-        self.read.fetch_add(1, Ordering::Relaxed);
+        let mut ring = self.lock();
+        let ev = ring.events.pop_front()?;
+        ring.read += 1;
         Some(ev)
     }
 
     /// Pops up to `max` events, oldest first.
     pub fn drain(&self, max: usize) -> Vec<Event> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            match self.pop() {
-                Some(ev) => out.push(ev),
-                None => break,
-            }
-        }
-        out
+        let mut ring = self.lock();
+        let n = max.min(ring.events.len());
+        ring.read += n as u64;
+        ring.events.drain(..n).collect()
     }
 
     /// Total events ever emitted into this ring.
     pub fn emitted(&self) -> u64 {
-        self.emitted.load(Ordering::Relaxed)
+        self.lock().emitted
     }
 
     /// Total events consumed via [`EventRing::pop`]/[`EventRing::drain`].
     pub fn read_count(&self) -> u64 {
-        self.read.load(Ordering::Relaxed)
+        self.lock().read
     }
 
-    /// Total events lost — displaced by writers under pressure or
-    /// dropped outright when displacement raced out.
+    /// Total events lost — displaced by writers when the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.lock().dropped
     }
 }
 
@@ -443,7 +325,6 @@ mod tests {
             RetryExhausted,
             EpochPublish,
             EpochRebase,
-            EpochReclaim,
             AdvisorDecision,
             MigrationStart,
             MigrationFinish,

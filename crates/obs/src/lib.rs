@@ -12,10 +12,11 @@
 //! * [`mod@registry`] — a process-global name → metric table. Handles are
 //!   `&'static`, so a call site registers once and records forever with a
 //!   single relaxed atomic op.
-//! * [`events`] — a bounded lock-free ring of structured trace events
+//! * [`events`] — a bounded, mutex-guarded ring of structured trace events
 //!   (WAL fsyncs, epoch publishes, migrations, failovers, sheds, …) with
-//!   monotonic sequence numbers. Under pressure old events are displaced
-//!   and counted in a drop counter; a writer never blocks.
+//!   sequence numbers increasing in ring order. Under pressure old events
+//!   are displaced and counted in a drop counter; a writer never waits
+//!   for a consumer, only for another thread's O(1) push or pop.
 //!
 //! # Hot-path cost
 //!
@@ -32,7 +33,7 @@
 //! process accumulate into the same counters. Assert deltas or `> 0`,
 //! never exact process-wide totals.
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod events;

@@ -89,15 +89,16 @@ proptest! {
         // the final drain folds everything still buffered into `read`,
         // so afterwards the ledger must close exactly
         let buffered = ring.drain(usize::MAX).len() as u64;
-        prop_assert!(buffered <= cap.next_power_of_two() as u64, "ring stayed bounded");
+        prop_assert!(buffered <= cap as u64, "ring stayed bounded");
         prop_assert_eq!(ring.emitted(), emits);
         prop_assert_eq!(ring.read_count() + ring.dropped(), emits);
     }
 }
 
 /// The concurrent version of the ledger: writers racing a consumer, with
-/// a ring small enough that displacement happens constantly. After the
-/// dust settles, `emitted == read + dropped` exactly.
+/// a ring small enough that displacement happens constantly. The consumer
+/// sees sequence numbers strictly increasing, and after the dust settles,
+/// `emitted == read + dropped` exactly.
 #[test]
 fn ring_loss_accounting_under_concurrent_writers() {
     const WRITERS: usize = 4;
@@ -109,9 +110,14 @@ fn ring_loss_accounting_under_concurrent_writers() {
         let ring = std::sync::Arc::clone(&ring);
         let stop = std::sync::Arc::clone(&stop);
         std::thread::spawn(move || {
+            let mut last = None;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                if ring.pop().is_none() {
-                    std::thread::yield_now();
+                match ring.pop() {
+                    Some(ev) => {
+                        assert!(last < Some(ev.seq), "seq {} popped after {last:?}", ev.seq);
+                        last = Some(ev.seq);
+                    }
+                    None => std::thread::yield_now(),
                 }
             }
         })

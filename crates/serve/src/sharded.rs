@@ -3,14 +3,14 @@
 //!
 //! Since PR 8 the read path never touches a shard lock. Every write to a
 //! shard publishes an immutable [`hazy_core::ModelEpoch`] into the shard's
-//! [`EpochCell`]; readers pin the current epoch (three atomic operations)
-//! and answer `classify` / `count_positive` / `scan_positive` / `top_k`
-//! entirely against it. The shard mutexes that used to be writer-priority
-//! reader/writer locks shrink to **writer–writer** coordination: the
-//! single logical writer against control-plane walks (stats, checkpoints,
-//! migration fan-outs). The worst-case read stall during a full
-//! reorganization drops from "the whole maintenance round" to one atomic
-//! pointer load.
+//! [`EpochCell`]; readers pin the current epoch (an `Arc` clone under the
+//! cell's read guard) and answer `classify` / `count_positive` /
+//! `scan_positive` / `top_k` entirely against it. The shard mutexes that
+//! used to be writer-priority reader/writer locks shrink to
+//! **writer–writer** coordination: the single logical writer against
+//! control-plane walks (stats, checkpoints, migration fan-outs). The
+//! worst-case read stall during a full reorganization drops from "the
+//! whole maintenance round" to one pointer swap.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -31,9 +31,8 @@ use crate::kway;
 ///
 /// `snapshot_reads` (and the per-shard `serve_shard<i>_reads_total`
 /// counters) are *derived* from each shard's epoch-cell pin count — the
-/// accounting the reclamation protocol already pays for — by
-/// [`Shard::sync_reads`], so the lock-free read paths carry **zero**
-/// added instrumentation atomics. Syncs run at the serving plane's cold
+/// accounting the pin path already pays for — by [`Shard::sync_reads`],
+/// so the read paths carry **zero** added instrumentation atomics. Syncs run at the serving plane's cold
 /// moments: write rounds, fan-out reads, stats, and shard drop; serving
 /// loops (the front's read lane) sync once per drained batch. One pin is
 /// one read — a fan-out query (count/scan/top-k) counts once per shard
@@ -162,13 +161,13 @@ pub fn max_shard_load(hits: &[u64]) -> u64 {
 /// data-partitioned / model-replicated design and its equivalence
 /// guarantee).
 ///
-/// Read methods take `&self` and are **lock-free**: each pins its shard's
-/// current epoch and answers against that immutable snapshot, so readers
-/// are never blocked — not by maintenance rounds, not by reorganizations,
-/// not by live migrations. Writes require either the `&mut self`
-/// [`ClassifierView`] implementation — how the RDBMS layer drives a
-/// sharded view through its unchanged execution paths — or the unique,
-/// `&mut`-method [`WriteHandle`] from
+/// Read methods take `&self` and are **never blocked by a maintenance
+/// round**: each pins its shard's current epoch and answers against that
+/// immutable snapshot, so neither reorganizations nor live migrations
+/// hold readers up; at most a reader waits out one pointer swap. Writes
+/// require either the `&mut self` [`ClassifierView`] implementation — how
+/// the RDBMS layer drives a sharded view through its unchanged execution
+/// paths — or the unique, `&mut`-method [`WriteHandle`] from
 /// [`into_handles`](ShardedView::into_handles): both admit exactly one
 /// in-flight writer by type, which the replicated-model design requires
 /// (concurrent broadcast writers would apply SGD steps to different shards
@@ -307,12 +306,13 @@ impl ShardedView {
         })
     }
 
-    // ---- lock-free read API (the ReadHandle surface) -----------------------------
+    // ---- pinned-epoch read API (the ReadHandle surface) ---------------------------
 
     /// `Single Entity` read: the label of entity `id`, answered from its
-    /// home shard's pinned epoch. Never blocks, and carries **zero**
-    /// instrumentation atomics — the read counters are derived later from
-    /// the pin count this call already pays for (see [`Self::sync_obs`]).
+    /// home shard's pinned epoch. Never waits on a maintenance round, and
+    /// carries **zero** instrumentation atomics — the read counters are
+    /// derived later from the pin count this call already pays for (see
+    /// [`Self::sync_obs`]).
     pub fn classify(&self, id: u64) -> Option<Label> {
         self.shards[shard_of(id, self.shards.len())].epochs.pin().classify(id)
     }
@@ -434,7 +434,7 @@ impl ShardedView {
     }
 
     /// A clone of the live replicated model, read off shard 0's pinned
-    /// epoch — lock-free, like every other read.
+    /// epoch — never blocked by a maintenance round, like every other read.
     pub fn model_snapshot(&self) -> LinearModel {
         self.shards[0].epochs.pin().model().clone()
     }
@@ -450,7 +450,7 @@ impl ShardedView {
     //
     // Each per-shard step is one `PublishedView` write verb under the
     // shard lock: the engine mutates, the same logical operation folds
-    // into the shard's epoch stream, and one atomic pointer swap later
+    // into the shard's epoch stream, and one pointer swap later
     // readers see the new state. Readers on the other N−1 shards never
     // notice; readers on *this* shard keep their pinned epochs and fresh
     // pins see the pre-swap epoch until the swap lands.
@@ -712,9 +712,9 @@ impl ClassifierView for ShardedView {
 }
 
 /// The read side of [`ShardedView::into_handles`]: clone one per reader
-/// thread. The query methods are lock-free — they pin per-shard epochs and
-/// never contend with the writer (`stats` is control-plane and still walks
-/// the shard locks).
+/// thread. The query methods are never blocked by a maintenance round —
+/// they pin per-shard epochs and never take the writer's shard locks
+/// (`stats` is control-plane and still walks them).
 #[derive(Clone)]
 pub struct ReadHandle {
     view: Arc<ShardedView>,
@@ -925,7 +925,7 @@ mod tests {
             }
         });
 
-        // lock-free reads still answer, bit-for-bit
+        // pinned-epoch reads still answer, bit-for-bit
         let after: Vec<Option<Label>> = (0..64).map(|id| view.classify(id)).collect();
         assert_eq!(before, after, "reads changed across a writer panic");
         assert!(view.count_positive() <= 64);
