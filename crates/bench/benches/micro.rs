@@ -1,5 +1,5 @@
 //! Criterion microbenches for the hot kernels under every experiment:
-//! dot products, SGD steps, watermark bookkeeping, the Skiing decision,
+//! dot products, model clones and margins, SGD steps, watermark bookkeeping, the Skiing decision,
 //! tuple codec, B+-tree and buffer-pool paths, reorganization sorts, and
 //! the epoch publisher's model round, its re-score, a pinned ranked read and
 //! a published SGD round on a text-sized model.
@@ -13,7 +13,7 @@ use hazy_core::{
 };
 use hazy_datagen::{DatasetSpec, ExampleStream};
 use hazy_learn::{LinearModel, SgdConfig, SgdTrainer, TrainingExample};
-use hazy_linalg::{FeatureVec, Features, Norm, NormPair, OrdF64};
+use hazy_linalg::{ChunkedVec, FeatureVec, Features, Norm, NormPair, OrdF64};
 use hazy_storage::{BTree, BufferPool, CostModel, HashIndex, SimDisk, VirtualClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,11 +28,28 @@ fn bench_linalg(c: &mut Criterion) {
     let sparse = sparse_vec(&mut rng, 50_000, 60);
     let w: Vec<f64> = (0..50_000).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
+    // a trained model over the SQL path's 2^16-word vocabulary (every chunk
+    // written) and a forest-shaped dense-54 one
+    const TEXT_DIM: u32 = 1 << 16;
+    let text = |rng: &mut StdRng| sparse_vec(rng, TEXT_DIM, 20).normalized(Norm::L1);
+    let mut trainer = SgdTrainer::new(SgdConfig::svm(), TEXT_DIM as usize);
+    for _ in 0..2_000 {
+        let f = text(&mut rng);
+        trainer.step(&f, if rng.gen_bool(0.5) { 1 } else { -1 });
+    }
+    let text_model = trainer.model().clone();
+    let doc = text(&mut rng);
+    let dense_model = LinearModel::from_parts(w[..54].to_vec(), 0.1);
+
     let mut g = c.benchmark_group("linalg");
     g.bench_function("dot_dense54", |b| b.iter(|| black_box(dense.dot(&w[..54]))));
     g.bench_function("dot_sparse60", |b| b.iter(|| black_box(sparse.dot(&w))));
     g.bench_function("norm_l1_sparse", |b| b.iter(|| black_box(sparse.norm(Norm::L1))));
     g.bench_function("sortable_key", |b| b.iter(|| black_box(OrdF64(0.125).sortable_key())));
+    // what a published model round copies, and the margins reads compute
+    g.bench_function("model_clone_text64k", |b| b.iter(|| black_box(text_model.clone())));
+    g.bench_function("margin_sparse_text64k", |b| b.iter(|| black_box(text_model.margin(&doc))));
+    g.bench_function("margin_dense54", |b| b.iter(|| black_box(dense_model.margin(&dense))));
     g.finish();
 }
 
@@ -98,11 +115,11 @@ fn bench_codec(c: &mut Criterion) {
     // decode + classify, the way an All-Members scan visits an uncertain
     // tuple: owned (old path) vs borrowed (new path)
     let mut rng2 = StdRng::seed_from_u64(5);
-    let w: Vec<f64> = (0..50_000).map(|_| rng2.gen_range(-1.0..1.0)).collect();
+    let w = ChunkedVec::from_vec((0..50_000).map(|_| rng2.gen_range(-1.0..1.0)).collect());
     g.bench_function("scan_classify_owned", |b| {
         b.iter(|| {
             let t = decode_tuple(&buf).unwrap();
-            black_box(t.f.dot(&w))
+            black_box(Features::dot(&t.f, &w))
         })
     });
     g.bench_function("scan_classify_ref", |b| {

@@ -559,8 +559,9 @@ pub struct EpochPublisher {
     flips: HashMap<u32, Label>,
     added: BTreeMap<u64, (Arc<Entity>, Label)>,
     removed: HashSet<u64>,
-    /// One allocation per model round, shared with every epoch published
-    /// under that model.
+    /// One chunk table per model round, shared with every epoch published
+    /// under that model; the weight chunks the round's steps left untouched
+    /// are shared with the engine, the marks and the earlier epochs too.
     model: Arc<LinearModel>,
     positive: u64,
     lsn: u64,

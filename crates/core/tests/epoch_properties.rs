@@ -25,20 +25,24 @@
 //!   Lemma 3.1 and stops early, yet answers bit for bit like a full scan
 //!   over scripted drift; the tuples it scores stay within the bound's own
 //!   count, and on a forest-shaped shard under SGD drift they are a sliver
-//!   of the population.
+//!   of the population;
+//! * **O(Δ) publication** — a published SGD round on a 2^16-dim text view
+//!   allocates the model chunks its example touches plus chunk tables, not
+//!   a model copy, while a pinned epoch sharing the other chunks stays
+//!   bit-frozen.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hazy_core::{
-    rank_order, Architecture, Entity, EpochPublisher, Mode, ModelEpoch, ViewBuilder, WaterMarks,
-    WatermarkPolicy,
+    rank_order, Architecture, Entity, EpochPublisher, Mode, ModelEpoch, PublishedView, ViewBuilder,
+    WaterMarks, WatermarkPolicy,
 };
 use hazy_datagen::{DatasetSpec, ExampleStream};
 use hazy_learn::{LinearModel, SgdConfig, SgdTrainer, TrainingExample};
-use hazy_linalg::{FeatureVec, NormPair};
+use hazy_linalg::{ChunkedVec, FeatureVec, Norm, NormPair};
 use hazy_testkit::{builder, feature, grid_entities, grid_feature, splitmix64, BoxedView};
 use proptest::prelude::*;
 
@@ -742,4 +746,74 @@ fn pruned_top_k_scores_a_sliver_of_a_forest_shard() {
     let mean = (scored - scored0) as f64 / (calls - calls0) as f64;
     assert!(p.rebases() > 0, "the drift never re-scored");
     assert!(mean < n as f64 / 20.0, "a top_k(10) scored {mean:.0} of {n} tuples on average");
+}
+
+/// A document of the SQL path's shape: 20 words of a 3 000-word vocabulary,
+/// dictionary-coded (ids dense from 0) in a 2^16-dim space, ℓ1-normalized.
+fn text_doc(r: &mut u64) -> FeatureVec {
+    let words = (0..20).map(|_| ((splitmix64(r) % 3_000) as u32, 1.0));
+    FeatureVec::sparse(1 << 16, words).normalized(Norm::L1)
+}
+
+fn model_bits(epoch: &ModelEpoch) -> Vec<u64> {
+    epoch.model().w.to_vec().iter().map(|x| x.to_bits()).collect()
+}
+
+/// One published feedback round on a 2^16-dim eager `HazyMem` text view
+/// allocates the model chunks its example touches (the trainer copies each
+/// once, since the last epoch shares it), the published model's chunk
+/// table, and a fixed slack for the epoch, its overlay maps and the
+/// engine's bookkeeping — not a 512 KB model copy. A pinned epoch sharing
+/// the untouched chunks keeps its model bits and ranked margins throughout.
+#[test]
+fn a_published_text_round_allocates_the_chunks_it_touches() {
+    const DIM: usize = 1 << 16;
+    // the `flips` map every publish still clones — at most 1 024 buckets
+    // (9 232 bytes) over 500 entities — plus the epoch node and the
+    // engine's bookkeeping (≈ 500 bytes)
+    const SLACK: usize = 12 << 10;
+    let _turn = ranked_reads();
+    let mut r = 0x7E47_u64;
+    let docs: Vec<Entity> = (0..500).map(|id| Entity::new(id, text_doc(&mut r))).collect();
+    let builder =
+        ViewBuilder::new(Architecture::HazyMem, Mode::Eager).norm_pair(NormPair::TEXT).dim(DIM);
+    let mut view = PublishedView::new(builder.build(docs, &[]), NormPair::TEXT, 0);
+    let feedback = |r: &mut u64| {
+        let y = if splitmix64(r).is_multiple_of(2) { 1 } else { -1 };
+        TrainingExample::new(0, text_doc(r), y)
+    };
+    // warm-up: every vocabulary chunk written, lazily grown state sized
+    for _ in 0..200 {
+        view.update(&feedback(&mut r));
+    }
+    let cell = Arc::clone(view.cell());
+    let pin = cell.pin();
+    let (frozen_w, frozen_top) = (model_bits(&pin), bits(&pin.top_k(5)));
+
+    let entry = std::mem::size_of::<Option<Arc<[f64; ChunkedVec::CHUNK]>>>();
+    let table = DIM / ChunkedVec::CHUNK * entry;
+    let mut measured = 0;
+    for round in 0..50 {
+        let ex = feedback(&mut r);
+        let touched: BTreeSet<usize> =
+            ex.f.iter().map(|(i, _)| i as usize / ChunkedVec::CHUNK).collect();
+        let (rebases, reorgs) = (view.publisher().rebases(), view.engine().stats().reorgs);
+        let before = allocated_bytes();
+        view.update(&ex);
+        let bytes = (allocated_bytes() - before) as usize;
+        // a re-score allocates a scoring or a sort, by design
+        if view.publisher().rebases() == rebases && view.engine().stats().reorgs == reorgs {
+            measured += 1;
+            let bound = touched.len() * ChunkedVec::CHUNK * 8 + table + SLACK;
+            assert!(
+                bytes <= bound,
+                "round {round}: {bytes} bytes allocated, {} chunks touched, bound {bound}",
+                touched.len()
+            );
+        }
+    }
+    assert!(measured >= 25, "only {measured} of 50 rounds ran without a re-score");
+    assert_eq!(model_bits(&pin), frozen_w, "a pinned epoch's model moved under the trainer");
+    assert_eq!(bits(&pin.top_k(5)), frozen_top, "a pinned epoch's margins moved");
+    assert_ne!(model_bits(&cell.pin()), frozen_w, "the trainer never stepped");
 }

@@ -79,7 +79,10 @@ impl LinearModel {
         self.w.diff_norm(&other.w, p)
     }
 
-    /// Approximate resident bytes (dense `f64` weights).
+    /// Approximate resident bytes (dense `f64` weights) if unshared: the
+    /// weights' chunks may be shared with clones of this model, or not
+    /// allocated yet while all zero, so this is an upper bound on what the
+    /// model alone keeps alive.
     pub fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.w.dim() * std::mem::size_of::<f64>()
     }

@@ -173,7 +173,7 @@ impl SgdTrainer {
                     } else {
                         0.0
                     };
-                    w.axpy(shrunk - wi, &FeatureVec::sparse(i + 1, [(i, 1.0)]));
+                    w.add_at(i as usize, shrunk - wi);
                 }
                 info.l1_tau = tau;
             }
@@ -303,6 +303,63 @@ mod tests {
         let l1_a: f64 = a.model().w.to_vec().iter().map(|x| x.abs()).sum();
         let l1_b: f64 = b.model().w.to_vec().iter().map(|x| x.abs()).sum();
         assert!(l1_b <= l1_a, "L1-regularized {l1_b} vs L2 {l1_a}");
+    }
+
+    /// The ℓ1 step as it was: an `axpy` by a freshly built one-hot sparse
+    /// vector for every touched coordinate.
+    fn one_hot_l1_step(tr: &mut SgdTrainer, f: &FeatureVec, y: i8) {
+        let eta = tr.eta();
+        let g = tr.cfg.loss.dloss(tr.model.margin(f), f64::from(y));
+        let Regularizer::L1(lambda) = tr.cfg.reg else { panic!("an ℓ1 trainer") };
+        let tau = eta * lambda;
+        tr.model.w.renormalize();
+        let w = &mut tr.model.w;
+        for (i, _) in f.iter() {
+            let wi = w.get(i as usize);
+            let shrunk = if wi > tau {
+                wi - tau
+            } else if wi < -tau {
+                wi + tau
+            } else {
+                0.0
+            };
+            w.axpy(shrunk - wi, &FeatureVec::sparse(i + 1, [(i, 1.0)]));
+        }
+        if g != 0.0 {
+            tr.model.w.axpy(-eta * g, f);
+            tr.model.b -= tr.cfg.bias_rate * eta * (-g);
+        }
+        tr.t += 1;
+    }
+
+    #[test]
+    fn l1_soft_threshold_matches_the_one_hot_formulation_bitwise() {
+        // dense-3 rows, then sparse rows whose indices straddle chunk
+        // boundaries of a model that starts narrower than they reach
+        let mut data = linearly_separable(200);
+        let c = hazy_linalg::ChunkedVec::CHUNK as u32;
+        data.extend((0..200u32).map(|k| {
+            let pairs =
+                [(k % 7, 0.5), (c - 1 - k % 3, -0.25), (c + k % 5, 1.0), (2 * c + k % 11, 0.75)];
+            let y = if k.is_multiple_of(3) { 1 } else { -1 };
+            TrainingExample::new(0, FeatureVec::sparse(2 * c + 11, pairs), y)
+        }));
+        let cfg = SgdConfig { reg: Regularizer::L1(5e-3), ..SgdConfig::svm() };
+        let mut fast = SgdTrainer::new(cfg, 3);
+        let mut reference = fast.clone();
+        for ex in data.iter().chain(&data) {
+            fast.step(&ex.f, ex.y);
+            one_hot_l1_step(&mut reference, &ex.f, ex.y);
+            assert_eq!(fast.model().b.to_bits(), reference.model().b.to_bits());
+            let bits = |t: &SgdTrainer| -> Vec<u64> {
+                t.model().w.to_vec().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&fast), bits(&reference), "step {}", fast.steps());
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        fast.save_state(&mut a);
+        reference.save_state(&mut b);
+        assert!(a == b, "checkpoint bytes diverge");
     }
 
     #[test]

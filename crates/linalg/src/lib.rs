@@ -8,7 +8,9 @@
 //!
 //! * [`FeatureVec`] — an owned dense-or-sparse `f32` feature vector,
 //! * [`ScaledDense`] — a dense `f64` model vector with the scalar-scale trick
-//!   used by stochastic gradient descent so ℓ2 shrinkage costs O(1),
+//!   used by stochastic gradient descent so ℓ2 shrinkage costs O(1), stored
+//!   as a [`ChunkedVec`] of copy-on-write chunks so cloning a model copies a
+//!   chunk table,
 //! * [`Norm`] / [`holder_conjugate`] — the Hölder-pair machinery behind the
 //!   paper's Lemma 3.1 watermark bounds,
 //! * [`OrdF64`] — a totally-ordered `f64` wrapper used to cluster tuples by
@@ -18,6 +20,7 @@
 //!   classify straight off page bytes without materializing anything,
 //! * binary (de)serialization of feature vectors for on-disk tuples.
 
+mod chunked;
 mod norms;
 mod ordf64;
 mod scaled;
@@ -26,6 +29,7 @@ mod vector;
 mod vref;
 pub mod wire;
 
+pub use chunked::ChunkedVec;
 pub use norms::{holder_conjugate, norm_of_slice, Norm, NormPair};
 pub use ordf64::OrdF64;
 pub use scaled::ScaledDense;

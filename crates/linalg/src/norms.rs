@@ -78,10 +78,15 @@ impl NormPair {
 
 /// `‖x‖_n` of a dense `f64` slice.
 pub fn norm_of_slice(x: &[f64], n: Norm) -> f64 {
+    norm_of_values(x.iter(), n)
+}
+
+/// `‖x‖_n` of components visited in index order.
+pub(crate) fn norm_of_values<'a>(x: impl Iterator<Item = &'a f64>, n: Norm) -> f64 {
     match n {
-        Norm::L1 => x.iter().map(|v| v.abs()).sum(),
-        Norm::L2 => x.iter().map(|v| v * v).sum::<f64>().sqrt(),
-        Norm::LInf => x.iter().fold(0.0f64, |m, v| m.max(v.abs())),
+        Norm::L1 => x.map(|v| v.abs()).sum(),
+        Norm::L2 => x.map(|v| v * v).sum::<f64>().sqrt(),
+        Norm::LInf => x.fold(0.0f64, |m, v| m.max(v.abs())),
     }
 }
 

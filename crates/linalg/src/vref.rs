@@ -18,6 +18,7 @@
 //! same iteration order, same accumulation widths (property-tested in
 //! `tests/properties.rs`).
 
+use crate::chunked::ChunkedVec;
 use crate::norms::Norm;
 use crate::vector::FeatureVec;
 
@@ -30,9 +31,11 @@ pub trait Features {
     /// Number of stored (potentially nonzero) components.
     fn nnz(&self) -> usize;
 
-    /// Dot product against a dense `f64` model vector (models shorter than
-    /// `dim` are implicitly zero-extended).
-    fn dot(&self, w: &[f64]) -> f64;
+    /// Dot product against a chunked `f64` model vector (models shorter
+    /// than `dim` are implicitly zero-extended). Accumulates in index order
+    /// with the operands of [`FeatureVec::dot`] on the flat vector, so the
+    /// two agree bit for bit.
+    fn dot(&self, w: &ChunkedVec) -> f64;
 
     /// `‖f‖_q` for the Hölder pair in use.
     fn norm(&self, q: Norm) -> f64;
@@ -47,8 +50,22 @@ impl Features for FeatureVec {
         FeatureVec::nnz(self)
     }
 
-    fn dot(&self, w: &[f64]) -> f64 {
-        FeatureVec::dot(self, w)
+    fn dot(&self, w: &ChunkedVec) -> f64 {
+        match self {
+            FeatureVec::Dense(c) => {
+                let mut acc = 0.0f64;
+                for (j, c) in c.chunks(ChunkedVec::CHUNK).enumerate() {
+                    let Some(w) = w.slice(j) else { break };
+                    for (&x, &wk) in c.iter().zip(w) {
+                        acc += f64::from(x) * wk;
+                    }
+                }
+                acc
+            }
+            FeatureVec::Sparse { idx, val, .. } => {
+                sparse_dot(idx.iter().copied().zip(val.iter().copied()), w)
+            }
+        }
     }
 
     fn norm(&self, q: Norm) -> f64 {
@@ -127,6 +144,18 @@ impl<'a> FeatureVecRef<'a> {
     }
 }
 
+/// `Σ v · w[i]` over the stored `(i, v)`, skipping indices past the model.
+#[inline]
+fn sparse_dot(pairs: impl Iterator<Item = (u32, f32)>, w: &ChunkedVec) -> f64 {
+    let mut acc = 0.0f64;
+    for (i, v) in pairs {
+        if let Some(wi) = w.get(i as usize) {
+            acc += f64::from(v) * wi;
+        }
+    }
+    acc
+}
+
 impl Features for FeatureVecRef<'_> {
     fn dim(&self) -> u32 {
         match *self {
@@ -146,24 +175,21 @@ impl Features for FeatureVecRef<'_> {
     // operation-for-operation so borrowed and owned classification agree
     // bit-for-bit.
 
-    fn dot(&self, w: &[f64]) -> f64 {
+    fn dot(&self, w: &ChunkedVec) -> f64 {
         match *self {
             FeatureVecRef::Dense { raw } => {
-                let n = (raw.len() / 4).min(w.len());
                 let mut acc = 0.0f64;
-                for (b, &wk) in raw.chunks_exact(4).take(n).zip(w.iter()) {
-                    acc += f64::from(le_f32(b)) * wk;
+                for (j, c) in raw.chunks(4 * ChunkedVec::CHUNK).enumerate() {
+                    let Some(w) = w.slice(j) else { break };
+                    for (b, &wk) in c.chunks_exact(4).zip(w) {
+                        acc += f64::from(le_f32(b)) * wk;
+                    }
                 }
                 acc
             }
             FeatureVecRef::Sparse { idx_raw, val_raw, .. } => {
-                let mut acc = 0.0f64;
-                for (ib, vb) in idx_raw.chunks_exact(4).zip(val_raw.chunks_exact(4)) {
-                    if let Some(&wi) = w.get(le_u32(ib) as usize) {
-                        acc += f64::from(le_f32(vb)) * wi;
-                    }
-                }
-                acc
+                let pairs = idx_raw.chunks_exact(4).zip(val_raw.chunks_exact(4));
+                sparse_dot(pairs.map(|(ib, vb)| (le_u32(ib), le_f32(vb))), w)
             }
         }
     }
@@ -207,7 +233,8 @@ mod tests {
         let w = [0.5f64, -1.0, 2.0]; // shorter than the vector on purpose
         assert_eq!(Features::dim(&r), f.dim());
         assert_eq!(Features::nnz(&r), f.nnz());
-        assert_eq!(Features::dot(&r, &w).to_bits(), f.dot(&w).to_bits());
+        let wc = ChunkedVec::from_vec(w.to_vec());
+        assert_eq!(Features::dot(&r, &wc).to_bits(), f.dot(&w).to_bits());
         for q in [Norm::L1, Norm::L2, Norm::LInf] {
             assert_eq!(Features::norm(&r, q).to_bits(), f.norm(q).to_bits());
         }
@@ -221,7 +248,8 @@ mod tests {
         encode_fvec(&f, &mut buf);
         let r = ref_of(&buf);
         let w: Vec<f64> = (0..100).map(|k| f64::from(k) * 0.1 - 3.0).collect();
-        assert_eq!(Features::dot(&r, &w).to_bits(), f.dot(&w).to_bits());
+        let wc = ChunkedVec::from_vec(w.to_vec());
+        assert_eq!(Features::dot(&r, &wc).to_bits(), f.dot(&w).to_bits());
         assert_eq!(r.to_owned(), f);
         let pairs: Vec<(u32, f32)> = r.iter().collect();
         assert_eq!(pairs, f.iter().collect::<Vec<_>>());
@@ -235,7 +263,7 @@ mod tests {
         let r = ref_of(&buf);
         assert_eq!(Features::dim(&r), 42);
         assert_eq!(Features::nnz(&r), 0);
-        assert_eq!(Features::dot(&r, &[1.0; 8]), 0.0);
+        assert_eq!(Features::dot(&r, &ChunkedVec::from_vec(vec![1.0; 8])), 0.0);
         assert_eq!(r.to_owned(), f);
     }
 }
